@@ -20,7 +20,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 
-    exact_core.ensure_table()
     lines = ["N,j,bound,exact_A,bound_over_exact,x_star,w_star"]
     for N in range(1, args.nmax + 1):
         for j in range(args.jmax + 1):

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .elliptic_engine import X_MAX, alpha_closed
 from .exact_core import a_array, binomial, first_moment, second_moment
 from .perm_oracle import factorial_moment, prob_at_least
 
-RATIO_K_GUARD = 60
 RATIO_N_GUARD = 10**6
 STIRLING_RATIO_GUARD = 0.9
 
@@ -131,10 +129,9 @@ def ratio_table(pairs: list[tuple[int, int]]) -> list[RatioRow]:
     """
     rows = []
     for n, k in pairs:
-        if k > RATIO_K_GUARD or n > RATIO_N_GUARD:
+        if n > RATIO_N_GUARD:
             raise ValueError(
-                f"ratio_table guarded to k <= {RATIO_K_GUARD}, n <= "
-                f"{RATIO_N_GUARD}, got ({n},{k})"
+                f"ratio_table guarded to n <= {RATIO_N_GUARD}, got ({n},{k})"
             )
         mu1 = first_moment(n, k)
         ratio = second_moment(n, k) / (mu1 * mu1)
@@ -180,6 +177,9 @@ def chebyshev_a_bound(N: int, j: int) -> tuple[float, tuple[float, float]]:
     """
     if N < 1 or j < 0:
         raise ValueError(f"chebyshev_a_bound needs N >= 1, j >= 0, got ({N},{j})")
+    # scipy.optimize is most of the package's import time; only this needs it
+    from scipy.optimize import minimize
+
     xs, ws, avals = _alpha_grid()
 
     if j == 0:

@@ -388,7 +388,6 @@ def build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("table", help="exact tables (A array or moments)")
     p.add_argument("--A", action="store_true", help="emit the A(N,j) table")
@@ -410,6 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_mc)
 

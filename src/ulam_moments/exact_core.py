@@ -13,12 +13,15 @@ the weight B(N, j) = C(N, j)/j!, and the exact second moment
 
 for the number Z_{n,k} of increasing length-k subsequences of a uniform random
 permutation of size n.
+
+A(N, j) is evaluated on demand by its closed product form (see ``a_array``);
+the convolution ``k_array`` and the literal enumeration ``a_array_direct``
+are the independent routes the tests check it against. Nothing is cached.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm, prod
 from typing import Iterable, Sequence
 
 ExactInt = int
@@ -27,7 +30,6 @@ ExactRational = Fraction
 __all__ = [
     "ExactInt",
     "ExactRational",
-    "MomentTriangle",
     "a_array",
     "a_array_direct",
     "b_coefficient",
@@ -194,90 +196,44 @@ def a_array_direct(N: int, j: int) -> int:
     return total
 
 
-@dataclass
-class MomentTriangle:
-    """Dense exact table of A(N, j) for 0 <= N <= n_max, 0 <= j <= j_max.
-
-    ``entries[N][j]`` holds A(N, j). When ``keep_layers`` was requested at
-    build time, ``layers[j]`` retains the full intermediate K(., ., j) grid.
-    Build once, read from anywhere: construction is single-writer and the
-    finished table is immutable by convention.
-    """
-
-    n_max: int
-    j_max: int
-    entries: list[list[int]]
-    layers: list[list[list[int]]] | None = field(default=None, repr=False)
-
-    @classmethod
-    def build(cls, n_max: int, j_max: int, keep_layers: bool = False) -> "MomentTriangle":
-        if n_max < 0 or j_max < 0:
-            raise ValueError(f"table sizes must be nonnegative, got ({n_max},{j_max})")
-        n1 = n_max + 1
-        T = [[kernel(l, m) for m in range(n1)] for l in range(n1)]
-        K = [row[:] for row in T]
-        entries = [[0] * (j_max + 1) for _ in range(n1)]
-        layers: list[list[list[int]]] | None = [] if keep_layers else None
-        for N in range(n1):
-            entries[N][0] = K[N][N]
-        if layers is not None:
-            layers.append([row[:] for row in K])
-        for j in range(1, j_max + 1):
-            K = _convolve_truncated(K, T, n_max, n_max)
-            for N in range(n1):
-                entries[N][j] = K[N][N]
-            if layers is not None:
-                layers.append([row[:] for row in K])
-        return cls(n_max=n_max, j_max=j_max, entries=entries, layers=layers)
-
-    def a(self, N: int, j: int) -> int:
-        if not (0 <= N <= self.n_max and 0 <= j <= self.j_max):
-            raise ValueError(
-                f"A({N},{j}) outside table bounds ({self.n_max},{self.j_max})"
-            )
-        return self.entries[N][j]
-
-    def to_csv(self) -> str:
-        lines = ["N,j,A"]
-        for N in range(self.n_max + 1):
-            for j in range(self.j_max + 1):
-                lines.append(f"{N},{j},{self.entries[N][j]}")
-        return "\n".join(lines) + "\n"
-
-
-DEFAULT_N_MAX = 30
-DEFAULT_J_MAX = 60
-
-_TABLE: MomentTriangle | None = None
-
-
-def ensure_table(n_max: int = DEFAULT_N_MAX, j_max: int = DEFAULT_J_MAX) -> MomentTriangle:
-    """Return the shared exact table, growing it if the request is larger."""
-    global _TABLE
-    if _TABLE is None or _TABLE.n_max < n_max or _TABLE.j_max < j_max:
-        grow_n = max(n_max, _TABLE.n_max if _TABLE else 0)
-        grow_j = max(j_max, _TABLE.j_max if _TABLE else 0)
-        _TABLE = MomentTriangle.build(grow_n, grow_j)
-    return _TABLE
-
-
 def a_array(N: int, j: int) -> int:
-    """A(N, j) = K(N, N, j) from the shared exact table, grown on demand."""
+    """A(N, j) = K(N, N, j) by its closed product form, in exact integers.
+
+    The kernel generating function is sum_{l,m} T(l, m) x^l y^m =
+    ((1-x-y)^2 - 4xy)^{-1/2}, so A(N, j) = [x^N y^N] ((1-x-y)^2 - 4xy)^{-s}
+    with s = (j+1)/2. Write rf(a, n) = a (a+1) ... (a+n-1) for the rising
+    factorial. Expanding in -4xy and extracting the diagonal of each
+    (1-x-y)^{-(2s+2k)} gives
+
+        A(N, j) = rf(j+1, 2N) / N!^2 * 2F1(-N, -N; (j+2)/2; 1),
+
+    a terminating sum that Chu-Vandermonde evaluates to
+    rf((j+2)/2 + N, N) / rf((j+2)/2, N). With rf(j+1, 2N) =
+    4^N rf((j+1)/2, N) rf((j+2)/2, N) this leaves (Petkovsek, Wilf,
+    Zeilberger, *A = B*, 1996)
+
+        A(N, j) = 4^N rf((j+1)/2, N) rf((j+2N+2)/2, N) / N!^2
+                = prod_{i<N} (j+1+2i) * prod_{i<N} (j+2N+2+2i) / N!^2,
+
+    and the division is exact.
+    """
     if N < 0 or j < 0:
         raise ValueError(f"a_array needs nonnegative arguments, got ({N},{j})")
-    if _TABLE is not None and N <= _TABLE.n_max and j <= _TABLE.j_max:
-        return _TABLE.a(N, j)
-    return ensure_table(N, j).a(N, j)
+    low = prod(range(j + 1, j + 2 * N, 2))
+    high = prod(range(j + 2 * N + 2, j + 4 * N + 1, 2))
+    return low * high // factorial(N) ** 2
 
 
 def second_moment(n: int, k: int) -> Fraction:
     """E[Z_{n,k}^2] = sum_{i=0}^{k} A(k-i, i) * B(n, 2k-i), exactly."""
     if not (1 <= k <= n):
         raise ValueError(f"second_moment needs 1 <= k <= n, got (n,k)=({n},{k})")
-    total = Fraction(0)
-    for i in range(k + 1):
-        total += a_array(k - i, i) * b_coefficient(n, 2 * k - i)
-    return total
+    # B(n, 2k-i) = C(n, 2k-i) * ((2k)!/(2k-i)!) / (2k)!: one common denominator
+    total = sum(
+        a_array(k - i, i) * binomial(n, 2 * k - i) * perm(2 * k, i)
+        for i in range(k + 1)
+    )
+    return Fraction(total, factorial(2 * k))
 
 
 def first_moment(n: int, k: int) -> Fraction:

@@ -4,7 +4,8 @@ alpha(w, x) = sum_{N,j} A(N, j) x^{2N} w^j is the weighted diagonal of the
 kernel-power array. Two independent evaluation routes live here:
 
  * alpha_series: truncated double sum over a cached table of normalized
-   diagonal values A(N, j) / 16^N, with an a posteriori geometric tail
+   diagonal values A(N, j) / 16^N, each the correctly rounded quotient of
+   the exact closed-form integer, with an a posteriori geometric tail
    estimate written back into the truncation record.
  * alpha_contour: the same quantity as a single contour mean over the unit
    circle, using the algebraic square root of the quartic Q1. On |xi| = 1
@@ -19,17 +20,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import exact_core
-
-# Exact integers feed the table on this sub-rectangle; beyond it the float
-# Toeplitz recursion takes over (verified against the exact values to a few
-# ulps on overlapping ranges).
-EXACT_ROWS = 30
-EXACT_COLS = 60
 
 DEFAULT_N_MAX = 90
 DEFAULT_J_MAX = 160
@@ -144,52 +140,15 @@ def _check_alpha_domain(w: float, x: float) -> None:
         )
 
 
-_DIAG_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _float_diag_table(n_max: int, j_max: int) -> np.ndarray:
-    """tab[N, j] = A(N, j) / 16^N by Toeplitz matrix powers of the scaled
-    kernel C(l+m, l)^2 / 4^(l+m). All entries are positive, so the float
-    recursion is cancellation-free."""
-    n1 = n_max + 1
-    that = np.zeros((n1, n1))
-    for l in range(n1):
-        for m in range(n1):
-            that[l, m] = math.comb(l + m, l) ** 2 / 4.0 ** (l + m)
-    toeps = []
-    for dl in range(n1):
-        tp = np.zeros((n1, n1))
-        for m in range(n1):
-            tp[m, m:] = that[dl, : n1 - m]
-        toeps.append(tp)
-    K = that.copy()
-    out = np.zeros((n1, j_max + 1))
-    out[:, 0] = np.diag(K)
-    for j in range(1, j_max + 1):
-        knew = np.zeros_like(K)
-        for dl in range(n1):
-            knew[dl:, :] += K[: n1 - dl, :] @ toeps[dl]
-        K = knew
-        out[:, j] = np.diag(K)
-    return out
-
-
+@lru_cache(maxsize=None)
 def diag_table(n_max: int, j_max: int) -> np.ndarray:
-    """Cached normalized table, exact-integer entries on the small
-    sub-rectangle and float recursion beyond it."""
-    key = (n_max, j_max)
-    cached = _DIAG_CACHE.get(key)
-    if cached is not None:
-        return cached
-    tab = _float_diag_table(n_max, j_max)
-    ne = min(n_max, EXACT_ROWS)
-    je = min(j_max, EXACT_COLS)
-    exact = exact_core.ensure_table(ne, je)
-    for N in range(ne + 1):
-        scale = 16**N
-        for j in range(je + 1):
-            tab[N, j] = exact.a(N, j) / scale
-    _DIAG_CACHE[key] = tab
+    """Read-only cached table tab[N, j] = A(N, j) / 16^N, each entry the
+    exact integer quotient correctly rounded to a float."""
+    tab = np.array(
+        [[exact_core.a_array(N, j) / 16**N for j in range(j_max + 1)]
+         for N in range(n_max + 1)]
+    )
+    tab.flags.writeable = False
     return tab
 
 

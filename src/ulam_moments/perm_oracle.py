@@ -73,26 +73,11 @@ def count_increasing(perm: Permutation, k: int) -> int:
     n = perm.n
     if not (1 <= k <= n):
         raise ValueError(f"count_increasing needs 1 <= k <= n, got k={k}, n={n}")
-    vals = perm.values
-    # dp[l-1][i]: count of length-l increasing subsequences ending at index i
-    dp = [[0] * n for _ in range(k)]
-    for i in range(n):
-        dp[0][i] = 1
-    for l in range(1, k):
-        prev = dp[l - 1]
-        cur = dp[l]
-        for i in range(n):
-            vi = vals[i]
-            s = 0
-            for h in range(i):
-                if vals[h] < vi:
-                    s += prev[h]
-            cur[i] = s
-    return sum(dp[k - 1])
+    return _count_increasing(perm.values, k)
 
 
-def _count_increasing_values(vals: tuple[int, ...], k: int) -> int:
-    """Same DP as count_increasing without the dataclass wrapper (hot path)."""
+def _count_increasing(vals: tuple[int, ...], k: int) -> int:
+    """The count_increasing DP on a bare value tuple, for the n! sweeps."""
     n = len(vals)
     dp = [1] * n
     for _ in range(k - 1):
@@ -134,7 +119,7 @@ def _distribution_items(n: int, k: int) -> tuple[tuple[int, int], ...]:
     """Cached (z, count) pairs; the n! sweep runs once per (n, k)."""
     counts: dict[int, int] = {}
     for vals in _lex_permutations(range(1, n + 1)):
-        z = _count_increasing_values(vals, k)
+        z = _count_increasing(vals, k)
         counts[z] = counts.get(z, 0) + 1
     return tuple(sorted(counts.items()))
 
@@ -166,7 +151,7 @@ def mixed_moment(n: int, k: int, l: int) -> Fraction:
         raise ValueError(f"mixed_moment needs 1 <= k,l <= n, got ({n},{k},{l})")
     total = 0
     for vals in _lex_permutations(range(1, n + 1)):
-        total += _count_increasing_values(vals, k) * _count_increasing_values(vals, l)
+        total += _count_increasing(vals, k) * _count_increasing(vals, l)
     return Fraction(total, factorial(n))
 
 

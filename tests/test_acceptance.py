@@ -70,7 +70,7 @@ def test_criterion_03_spot_values() -> None:
     print("criterion 03 (spot values): PASS")
 
 
-def test_criterion_04_triple_route_alpha(warm_tables: None) -> None:
+def test_criterion_04_triple_route_alpha() -> None:
     """Series, contour, and closed-form alpha agree below 1e-9 on a
     20-point (x, w) grid inside 4x + w^2 < 1, within 30 s."""
     points = [
@@ -225,7 +225,7 @@ def test_criterion_10_bonferroni() -> None:
     print("criterion 10 (Bonferroni bracketing): PASS")
 
 
-def test_criterion_11_chebyshev_validity(warm_tables: None) -> None:
+def test_criterion_11_chebyshev_validity() -> None:
     """chebyshev_a_bound(N, j) >= a_array(N, j) for all 1 <= N <= 10,
     0 <= j <= 6 (floats compared with 1e-9 slack toward validity)."""
     for N in range(1, 11):

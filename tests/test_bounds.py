@@ -119,6 +119,8 @@ def test_ratio_table_values() -> None:
     assert rows[0].ratio == pytest.approx(67 / 54, rel=1e-15)
     for n in (2, 10, 1000):
         assert bounds.ratio_table([(n, 1)])[0].ratio == 1.0
+    # Z_{n,n} is the identity's indicator, so E[Z^2] / E[Z]^2 = n!
+    assert bounds.ratio_table([(80, 80)])[0].ratio == float(math.factorial(80))
 
 
 def test_ratio_table_nonnegative_variance() -> None:
@@ -130,15 +132,13 @@ def test_ratio_table_nonnegative_variance() -> None:
 
 def test_ratio_table_guards() -> None:
     with pytest.raises(ValueError):
-        bounds.ratio_table([(100, 61)])
-    with pytest.raises(ValueError):
         bounds.ratio_table([(2 * 10**6, 2)])
 
 
 # ----------------------------------------------------------- Chebyshev bound
 
 
-def test_chebyshev_bound_examples(warm_tables: None) -> None:
+def test_chebyshev_bound_examples() -> None:
     slack = 1 - 1e-9
     for N, j in [(1, 0), (1, 1), (6, 3)]:
         bound, (x_star, w_star) = bounds.chebyshev_a_bound(N, j)

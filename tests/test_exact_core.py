@@ -141,19 +141,17 @@ def test_a_array_monotone_in_j() -> None:
             assert exact_core.a_array(N, j) <= exact_core.a_array(N, j + 1)
 
 
-def test_moment_triangle_layers_match_k_array() -> None:
-    tri = exact_core.MomentTriangle.build(3, 3, keep_layers=True)
-    assert tri.layers is not None
-    for j in range(4):
-        for L in range(4):
-            for M in range(4):
-                assert tri.layers[j][L][M] == exact_core.k_array(L, M, j)
-
-
-def test_moment_triangle_bounds_error() -> None:
-    tri = exact_core.MomentTriangle.build(2, 2)
-    with pytest.raises(ValueError):
-        tri.a(3, 0)
+def test_a_array_matches_convolution_sweep() -> None:
+    """Closed form vs the diagonal of j repeated truncated convolutions,
+    on the whole 31 x 61 rectangle."""
+    n_max = 30
+    T = [[exact_core.kernel(l, m) for m in range(n_max + 1)] for l in range(n_max + 1)]
+    K = T
+    for j in range(61):
+        if j:
+            K = exact_core._convolve_truncated(K, T, n_max, n_max)
+        for N in range(n_max + 1):
+            assert exact_core.a_array(N, j) == K[N][N], (N, j)
 
 
 # ------------------------------------------------------------------- moments
@@ -163,6 +161,8 @@ def test_second_moment_spot_values() -> None:
     assert exact_core.second_moment(3, 2) == Fraction(19, 6)
     assert exact_core.second_moment(4, 2) == Fraction(67, 6)
     assert exact_core.second_moment(2, 1) == 4
+    # Z_{n,n} is the indicator of the identity permutation: E[Z^2] = 1/n!
+    assert exact_core.second_moment(80, 80) == Fraction(1, math.factorial(80))
 
 
 def test_first_moment_closed_form() -> None:

@@ -105,7 +105,17 @@ def test_diagonal_extract_cap_raises() -> None:
 # ---------------------------------------------------------------- the table
 
 
-def test_diag_table_exact_region_stitch(warm_tables: None) -> None:
+def test_diag_table_is_exact_quotient() -> None:
+    """Every entry of the default table is A(N, j) / 16^N rounded once."""
+    tab = genfun.diag_table(genfun.DEFAULT_N_MAX, genfun.DEFAULT_J_MAX)
+    assert tab.shape == (genfun.DEFAULT_N_MAX + 1, genfun.DEFAULT_J_MAX + 1)
+    for N in range(genfun.DEFAULT_N_MAX + 1):
+        for j in range(genfun.DEFAULT_J_MAX + 1):
+            assert tab[N, j] == exact_core.a_array(N, j) / 16**N, (N, j)
+
+
+def test_diag_table_exact_region_stitch() -> None:
+    """The low corner of the default table scales back to the integers A(N, j)."""
     tab = genfun.diag_table(genfun.DEFAULT_N_MAX, genfun.DEFAULT_J_MAX)
     for N in range(0, 9):
         for j in range(0, 7):
@@ -114,8 +124,10 @@ def test_diag_table_exact_region_stitch(warm_tables: None) -> None:
 
 
 def test_float_recursion_matches_exact_integers() -> None:
-    """The cancellation-free float table, checked without the exact stitch."""
-    raw = genfun._float_diag_table(12, 8)
+    """A table smaller than the default, built on its own, matches the exact
+    quotients."""
+    raw = genfun.diag_table(12, 8)
+    assert raw.shape == (13, 9)
     for N in range(13):
         for j in range(9):
             want = exact_core.a_array(N, j) / 16**N
@@ -138,13 +150,13 @@ def test_alpha_series_partial_sum_oracle() -> None:
         assert got == pytest.approx(float(want), rel=1e-13)
 
 
-def test_alpha_series_row_zero_is_geometric(warm_tables: None) -> None:
+def test_alpha_series_row_zero_is_geometric() -> None:
     """At x = 0 only the A(0, j) = 1 row survives: alpha = 1/(1 - w)."""
     assert genfun.alpha_series(0.5, 0.0) == pytest.approx(2.0, abs=1e-12)
     assert genfun.alpha_series(0.0, 0.0) == 1.0
 
 
-def test_alpha_routes_agree_on_grid(warm_tables: None) -> None:
+def test_alpha_routes_agree_on_grid() -> None:
     for x, w in POINTS:
         trunc = SeriesTruncation()
         series = genfun.alpha_series(w, x, trunc)
@@ -154,7 +166,7 @@ def test_alpha_routes_agree_on_grid(warm_tables: None) -> None:
         assert abs(contour - alpha_closed(w, x)) < 1e-9
 
 
-def test_alpha_series_tail_bound_is_honest(warm_tables: None) -> None:
+def test_alpha_series_tail_bound_is_honest() -> None:
     """Reported truncation bound dominates the actual truncation error,
     measured against the closed-form route."""
     for x, w in POINTS:
@@ -164,7 +176,7 @@ def test_alpha_series_tail_bound_is_honest(warm_tables: None) -> None:
         assert abs(series - reference) <= trunc.tail_bound + 1e-10
 
 
-def test_alpha_monotone_in_each_argument(warm_tables: None) -> None:
+def test_alpha_monotone_in_each_argument() -> None:
     for x, w in [(0.05, 0.1), (0.1, 0.3), (0.15, 0.2)]:
         base = genfun.alpha_series(w, x)
         assert genfun.alpha_series(w + 0.05, x) > base
