@@ -232,10 +232,10 @@ def _check_perm_distribution() -> None:
 
 
 def _check_walk_array() -> None:
-    for N in range(3):
+    for N in range(9):
         for j in range(3):
             assert walk_lab.a_from_walk_exact(N, j) == exact_core.a_array(N, j)
-    for N in range(3):
+    for N in range(9):
         enum = walk_lab.enumerate_walks(N)
         assert Fraction(enum.returned_count, enum.total) == walk_lab.return_probability(N)
 

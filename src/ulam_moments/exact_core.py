@@ -225,14 +225,35 @@ def a_array(N: int, j: int) -> int:
 
 
 def second_moment(n: int, k: int) -> Fraction:
-    """E[Z_{n,k}^2] = sum_{i=0}^{k} A(k-i, i) * B(n, 2k-i), exactly."""
+    """E[Z_{n,k}^2] = sum_{i=0}^{k} A(k-i, i) * B(n, 2k-i), exactly.
+
+    B(n, 2k-i) = c(i) / (2k)! with c(i) = C(n, 2k-i) * (2k)!/(2k-i)!, so the
+    sum has one denominator. Both factors of a term follow from the term
+    before by exact integer ratios, which makes the sum O(k) big-integer
+    steps: c(i+1) = c(i) (2k-i)^2 / (n-2k+i+1), starting where C(n, 2k-i)
+    becomes nonzero, and, from the product form of ``a_array``,
+
+        A(N-2, j+2) = A(N, j) N^2 (N-1)^2 (j+2N)
+                      / ((j+1)(j+2N-1)(j+4N-4)(j+4N-2)(j+4N)),
+
+    which steps i by 2, so even and odd i form two chains.
+    """
     if not (1 <= k <= n):
         raise ValueError(f"second_moment needs 1 <= k <= n, got (n,k)=({n},{k})")
-    # B(n, 2k-i) = C(n, 2k-i) * ((2k)!/(2k-i)!) / (2k)!: one common denominator
-    total = sum(
-        a_array(k - i, i) * binomial(n, 2 * k - i) * perm(2 * k, i)
-        for i in range(k + 1)
-    )
+    i0 = max(0, 2 * k - n)  # C(n, 2k-i) = 0 for i < i0
+    c = comb(n, 2 * k - i0) * perm(2 * k, i0)
+    a = [0] * (k + 1)  # a[i] = A(k-i, i)
+    total = 0
+    for i in range(i0, k + 1):
+        if i < i0 + 2:
+            a[i] = a_array(k - i, i)
+        else:
+            N, j = k - i + 2, i - 2
+            a[i] = a[j] * (N * (N - 1)) ** 2 * (j + 2 * N) // (
+                (j + 1) * (j + 2 * N - 1) * (j + 4 * N - 4) * (j + 4 * N - 2) * (j + 4 * N)
+            )
+        total += a[i] * c
+        c = c * (2 * k - i) ** 2 // (n - 2 * k + i + 1)
     return Fraction(total, factorial(2 * k))
 
 

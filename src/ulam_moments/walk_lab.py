@@ -9,13 +9,16 @@ A 2D simple random walk (U_t, V_t) takes 2N unit steps from
 
 the array identity is A(N, j) = 16^N * E[Q_{N,j} * R_N]. Because 16^N equals
 the number 4^{2N} of equally likely paths, the exact-mode value is the plain
-integer sum of Q*R over all paths, which this module computes by vectorized
-base-4 enumeration. A counter-based generator drives the Monte Carlo mode so
-the sample stream is a pure function of (seed, sample index), independent of
-chunking and worker count.
+integer sum of Q*R over all paths. This module counts it with a
+transfer-matrix DP over (U, number of vertical steps, tau) in O(N^4) exact
+integer updates, never listing the paths themselves. A counter-based
+generator drives the Monte Carlo mode so the sample stream is a pure function
+of (seed, sample index), independent of chunking and worker count; its kernel
+walks all samples of a chunk forward one step at a time.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,9 +30,10 @@ from .exact_core import binomial
 
 UNIT_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-ENUMERATION_GUARD = 6
-_ENUM_CHUNK = 1 << 20
 _MC_CHUNK = 1 << 16
+# Step of U and of V for each 2-bit digit of a generator word (UNIT_STEPS order)
+_DU = np.array([s[0] for s in UNIT_STEPS], dtype=np.int16)
+_DV = np.array([s[1] for s in UNIT_STEPS], dtype=np.int16)
 
 _SM64_GOLDEN = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
@@ -100,84 +104,53 @@ def q_statistic(stats: WalkStats, j: int) -> int:
 
 @dataclass
 class _Enumeration:
-    """Aggregates from one exhaustive sweep of all 4^{2N} paths."""
+    """Aggregates over all 4^{2N} paths."""
 
     N: int
     tau_hist_returned: list[int]  # tau_hist_returned[tau] over returning paths
     returned_count: int
-    x_zero_count: int  # paths with U_{2N} + V_{2N} = 0 (the rotated marginal)
     total: int
 
 
 _ENUM_CACHE: dict[int, _Enumeration] = {}
 
 
-def _decode_steps(codes: np.ndarray, two_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base-4 digits of each code -> (du, dv) step arrays of shape (m, 2N)."""
-    shifts = (2 * np.arange(two_n, dtype=np.uint64))[None, :]
-    digs = (codes[:, None] >> shifts) & np.uint64(3)
-    digs = digs.astype(np.int8)
-    du = (digs == 0).astype(np.int8) - (digs == 2).astype(np.int8)
-    dv = (digs == 1).astype(np.int8) - (digs == 3).astype(np.int8)
-    return du, dv
+def enumerate_walks(N: int) -> _Enumeration:
+    """Occupation-count histogram of the returning paths, cached per N.
 
-
-def _sweep_chunk(N: int, start: int, stop: int) -> tuple[np.ndarray, int, int]:
-    two_n = 2 * N
-    codes = np.arange(start, stop, dtype=np.uint64)
-    du, dv = _decode_steps(codes, two_n)
-    m = codes.size
-    U = np.zeros((m, two_n + 1), dtype=np.int16)
-    np.cumsum(du, axis=1, dtype=np.int16, out=U[:, 1:])
-    tau = (U == 0).sum(axis=1)
-    uf = U[:, -1]
-    vf = dv.sum(axis=1, dtype=np.int16)
-    ret = (uf == 0) & (vf == 0)
-    hist = np.bincount(tau[ret], minlength=two_n + 2)
-    return hist, int(ret.sum()), int(((uf + vf) == 0).sum())
-
-
-def enumerate_walks(N: int, workers: int = 1) -> _Enumeration:
-    """Exhaustive sweep over all 4^{2N} paths, cached per N.
-
-    Work is split into fixed-size chunks merged by addition, so the result
-    (and anything derived from it) cannot depend on the worker count.
+    A transfer-matrix DP over the state (U, v, tau), where v counts the
+    vertical steps so far. A step moves U by +-1 or is vertical (U stays, v
+    grows by 1), and tau grows by 1 whenever the new U is 0. States that can
+    no longer bring U back to 0 are dropped. A vertical step is counted once
+    here, whatever its sign; at the end, C(v, v/2) sign choices bring V back
+    to 0 (v is even, because U ends at 0 after 2N - v horizontal steps).
     """
     if N < 0:
         raise ValueError(f"enumerate_walks needs N >= 0, got N={N}")
-    if N > ENUMERATION_GUARD:
-        raise ValueError(
-            f"exhaustive enumeration guarded to N <= {ENUMERATION_GUARD}, got N={N}"
-        )
     cached = _ENUM_CACHE.get(N)
     if cached is not None:
         return cached
-    total = 4 ** (2 * N)
-    bounds = [(s, min(s + _ENUM_CHUNK, total)) for s in range(0, total, _ENUM_CHUNK)]
-    hist = np.zeros(2 * N + 2, dtype=np.int64)
-    returned = 0
-    x_zero = 0
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _sweep_chunk(N, *b), bounds))
-    else:
-        parts = [_sweep_chunk(N, *b) for b in bounds]
-    for h, r, xz in parts:
-        hist += h
-        returned += r
-        x_zero += xz
+    two_n = 2 * N
+    states = {(0, 0, 1): 1}  # (U, v, tau) -> number of horizontal-sign choices
+    for t in range(two_n):
+        left = two_n - t - 1
+        nxt = defaultdict(int)
+        for (u, v, tau), cnt in states.items():
+            for nu, nv in ((u + 1, v), (u - 1, v), (u, v + 1)):
+                if abs(nu) <= left:
+                    nxt[nu, nv, tau + (nu == 0)] += cnt
+        states = nxt
+    hist = [0] * (two_n + 2)
+    for (_, v, tau), cnt in states.items():
+        hist[tau] += cnt * comb(v, v // 2)
     enum = _Enumeration(
-        N=N,
-        tau_hist_returned=[int(c) for c in hist],
-        returned_count=returned,
-        x_zero_count=x_zero,
-        total=total,
+        N=N, tau_hist_returned=hist, returned_count=sum(hist), total=4**two_n
     )
     _ENUM_CACHE[N] = enum
     return enum
 
 
-def a_from_walk_exact(N: int, j: int, workers: int = 1) -> int:
+def a_from_walk_exact(N: int, j: int) -> int:
     """A(N, j) = 16^N * (sum of Q*R over all paths) / 4^{2N}, an exact integer.
 
     The two scale factors cancel, so this is the integer sum of
@@ -186,7 +159,7 @@ def a_from_walk_exact(N: int, j: int, workers: int = 1) -> int:
     """
     if j < 0:
         raise ValueError(f"a_from_walk_exact needs j >= 0, got j={j}")
-    enum = enumerate_walks(N, workers=workers)
+    enum = enumerate_walks(N)
     return sum(
         cnt * binomial(tau + j - 1, j)
         for tau, cnt in enumerate(enum.tau_hist_returned)
@@ -194,9 +167,9 @@ def a_from_walk_exact(N: int, j: int, workers: int = 1) -> int:
     )
 
 
-def exact_ensemble(N: int, js: list[int], workers: int = 1) -> WalkEnsembleStats:
+def exact_ensemble(N: int, js: list[int]) -> WalkEnsembleStats:
     """Exact-mode ensemble statistics: q_r_mean[j] = (sum Q*R)/4^{2N}."""
-    enum = enumerate_walks(N, workers=workers)
+    enum = enumerate_walks(N)
     means = {
         j: Fraction(a_from_walk_exact(N, j), enum.total) for j in js
     }
@@ -240,29 +213,31 @@ def _counter_words(seed: int, counters: np.ndarray) -> np.ndarray:
 
 
 def _mc_chunk(
-    N: int, j: int, seed: int, start: int, stop: int, qtab: np.ndarray
+    N: int, seed: int, start: int, stop: int, qtab: np.ndarray
 ) -> tuple[int, int]:
-    """Integer (sum QR, sum (QR)^2) for samples start..stop-1."""
+    """Integer (sum QR, sum (QR)^2) for samples start..stop-1.
+
+    Sample s reads its 2N steps from words s*W .. s*W + W - 1 of the counter
+    stream (W = ceil(2N / 32)), two bits per step from the low bits up. All
+    samples move forward together, one step at a time.
+    """
     two_n = 2 * N
     words_per = (two_n + 31) // 32
     idx = np.arange(start, stop, dtype=np.uint64)
-    m = idx.size
-    digs = np.empty((m, two_n), dtype=np.int8)
+    u = np.zeros(idx.size, dtype=np.int16)
+    v = np.zeros(idx.size, dtype=np.int16)
+    tau = np.ones(idx.size, dtype=np.int16)  # t = 0 is on the axis
     for w in range(words_per):
         with np.errstate(over="ignore"):
             ctrs = idx * np.uint64(words_per) + np.uint64(w)
         word = _counter_words(seed, ctrs)
-        lo = 32 * w
-        hi = min(32 * (w + 1), two_n)
-        shifts = (2 * np.arange(hi - lo, dtype=np.uint64))[None, :]
-        digs[:, lo:hi] = ((word[:, None] >> shifts) & np.uint64(3)).astype(np.int8)
-    du = (digs == 0).astype(np.int8) - (digs == 2).astype(np.int8)
-    dv = (digs == 1).astype(np.int8) - (digs == 3).astype(np.int8)
-    U = np.zeros((m, two_n + 1), dtype=np.int16)
-    np.cumsum(du, axis=1, dtype=np.int16, out=U[:, 1:])
-    tau = (U == 0).sum(axis=1)
-    ret = (U[:, -1] == 0) & (dv.sum(axis=1, dtype=np.int16) == 0)
-    qr = np.where(ret, qtab[tau], 0)
+        for _ in range(min(32, two_n - 32 * w)):
+            digit = (word & np.uint64(3)).astype(np.intp)
+            u += _DU[digit]
+            v += _DV[digit]
+            tau += u == 0
+            word >>= np.uint64(2)
+    qr = np.where((u == 0) & (v == 0), qtab[tau], 0)
     return int(qr.sum()), int((qr * qr).sum())
 
 
@@ -294,9 +269,9 @@ def a_monte_carlo(
     bounds = [(s, min(s + _MC_CHUNK, samples)) for s in range(0, samples, _MC_CHUNK)]
     if workers > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _mc_chunk(N, j, seed, *b, qtab), bounds))
+            parts = list(pool.map(lambda b: _mc_chunk(N, seed, *b, qtab), bounds))
     else:
-        parts = [_mc_chunk(N, j, seed, *b, qtab) for b in bounds]
+        parts = [_mc_chunk(N, seed, *b, qtab) for b in bounds]
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
     scale = 16**N

@@ -165,6 +165,19 @@ def test_second_moment_spot_values() -> None:
     assert exact_core.second_moment(80, 80) == Fraction(1, math.factorial(80))
 
 
+def test_second_moment_chain_matches_plain_sum() -> None:
+    """The ratio chains of second_moment against the plain term-by-term sum,
+    on every 1 <= k <= n < 40 (n < 2k included) and three larger pairs."""
+    pairs = [(n, k) for n in range(1, 40) for k in range(1, n + 1)]
+    pairs += [(10**4, 40), (10**6, 100), (300, 200)]
+    for n, k in pairs:
+        plain = sum(
+            exact_core.a_array(k - i, i) * exact_core.b_coefficient(n, 2 * k - i)
+            for i in range(k + 1)
+        )
+        assert exact_core.second_moment(n, k) == plain, (n, k)
+
+
 def test_first_moment_closed_form() -> None:
     for n in range(1, 9):
         for k in range(1, n + 1):

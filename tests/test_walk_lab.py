@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ulam_moments import exact_core, walk_lab
@@ -41,57 +42,64 @@ def test_walkpath_validation() -> None:
     assert WalkPath(((1, 0), (0, 1))).N == 1
 
 
-@pytest.mark.parametrize("N", [0, 1, 2])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
 def test_enumeration_matches_itertools_oracle(N: int) -> None:
-    """The vectorized sweep against a literal walk-by-walk recount."""
+    """The transfer-matrix DP against a literal walk-by-walk recount."""
     hist = [0] * (2 * N + 2)
     returned = 0
-    x_zero = 0
     for steps in product(walk_lab.UNIT_STEPS, repeat=2 * N):
         s = walk_lab.walk_stats(WalkPath(steps))
         if s.returned:
             hist[s.tau] += 1
             returned += 1
-        if sum(du for du, _ in steps) + sum(dv for _, dv in steps) == 0:
-            x_zero += 1
     enum = walk_lab.enumerate_walks(N)
     assert enum.tau_hist_returned == hist
     assert enum.returned_count == returned
-    assert enum.x_zero_count == x_zero
     assert enum.total == 4 ** (2 * N)
 
 
 def test_walk_identity_small() -> None:
-    """A(N, j) from occupation counts equals the convolution table (small
-    corner here; the acceptance suite covers N <= 6)."""
-    for N in range(4):
-        for j in range(4):
-            assert walk_lab.a_from_walk_exact(N, j) == exact_core.a_array(N, j)
+    """A(N, j) from occupation counts equals the closed form (the
+    acceptance suite covers N <= 12 on its own)."""
+    for N in range(21):
+        for j in range(11):
+            assert walk_lab.a_from_walk_exact(N, j) == exact_core.a_array(N, j), (N, j)
 
 
 def test_return_and_marginal_probabilities() -> None:
-    for N in range(5):
+    for N in range(13):
         enum = walk_lab.enumerate_walks(N)
         assert Fraction(enum.returned_count, enum.total) == walk_lab.return_probability(
             N
         )
-        assert Fraction(enum.x_zero_count, enum.total) == walk_lab.x_marginal_probability(
-            N
+    for N in range(4):
+        x_zero = sum(
+            1
+            for steps in product(walk_lab.UNIT_STEPS, repeat=2 * N)
+            if sum(du + dv for du, dv in steps) == 0
         )
+        assert Fraction(x_zero, 4 ** (2 * N)) == walk_lab.x_marginal_probability(N)
     assert walk_lab.return_probability(3) == Fraction(math.comb(6, 3) ** 2, 16**3)
 
 
 def test_enumeration_worker_independence() -> None:
-    walk_lab._ENUM_CACHE.pop(3, None)
-    solo = walk_lab.enumerate_walks(3)
-    walk_lab._ENUM_CACHE.pop(3, None)
-    multi = walk_lab.enumerate_walks(3, workers=4)
-    assert solo == multi
+    """The exact path has no worker split; its result must not depend on
+    whether the per-N cache was cold or warm, or on the order of N."""
+    for N in (5, 3):
+        walk_lab._ENUM_CACHE.pop(N, None)
+    cold = walk_lab.enumerate_walks(5)
+    first_small = walk_lab.enumerate_walks(3)
+    assert walk_lab.enumerate_walks(5) is cold
+    for N in (5, 3):
+        walk_lab._ENUM_CACHE.pop(N, None)
+    assert walk_lab.enumerate_walks(3) == first_small
+    assert walk_lab.enumerate_walks(5) == cold
 
 
 def test_enumeration_guard() -> None:
-    with pytest.raises(ValueError):
-        walk_lab.enumerate_walks(walk_lab.ENUMERATION_GUARD + 1)
+    # N = 7 was past the old brute-force limit; the DP has no upper guard
+    enum = walk_lab.enumerate_walks(7)
+    assert enum.returned_count == math.comb(14, 7) ** 2
     with pytest.raises(ValueError):
         walk_lab.enumerate_walks(-1)
 
@@ -114,6 +122,35 @@ def test_monte_carlo_reproducible_and_worker_independent() -> None:
     assert spread == one
     other = walk_lab.a_monte_carlo(3, 1, 70000, seed=12)
     assert other != one
+
+
+def _splitmix64_word(seed: int, counter: int) -> int:
+    """The counter-based generator word, in plain 64-bit integer arithmetic."""
+    mask = (1 << 64) - 1
+    z = (seed + (counter + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("N", [1, 3, 17])
+def test_mc_chunk_matches_literal_decoding(N: int) -> None:
+    """The step-major kernel against a sample-by-sample decode of the
+    counter words through WalkPath and walk_stats (N = 17 needs two words
+    per sample)."""
+    j, seed, start, stop = 2, 0xDEADBEEF, 5, 305
+    words_per = (2 * N + 31) // 32
+    s1 = s2 = 0
+    for sample in range(start, stop):
+        words = [_splitmix64_word(seed, sample * words_per + w) for w in range(words_per)]
+        digits = [(words[t // 32] >> (2 * (t % 32))) & 3 for t in range(2 * N)]
+        stats = walk_lab.walk_stats(WalkPath(tuple(walk_lab.UNIT_STEPS[d] for d in digits)))
+        qr = walk_lab.q_statistic(stats, j) if stats.returned else 0
+        s1 += qr
+        s2 += qr * qr
+    assert s1 > 0
+    qtab = np.array([0] + [math.comb(tau + j - 1, j) for tau in range(1, 2 * N + 2)])
+    assert walk_lab._mc_chunk(N, seed, start, stop, qtab) == (s1, s2)
 
 
 def test_monte_carlo_seed_42_regression() -> None:
