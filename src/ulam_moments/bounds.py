@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,18 +144,16 @@ def ratio_table(pairs: list[tuple[int, int]]) -> list[RatioRow]:
 
 _GRID_SIZE = 40
 _NM_BUDGET = 200
-_ALPHA_GRID: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
+@lru_cache(maxsize=None)
 def _alpha_grid(size: int = _GRID_SIZE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared log-spaced grid of alpha_closed over the feasible region.
+    """Shared log-spaced grid of alpha_closed over the feasible region, as
+    read-only cached arrays.
 
     alpha does not depend on (N, j), so one grid seeds every optimization;
     infeasible cells hold +inf.
     """
-    cached = _ALPHA_GRID.get(size)
-    if cached is not None:
-        return cached
     xs = np.geomspace(0.005, X_MAX - 1e-4, size)
     ws = np.geomspace(1e-3, 0.97, size)
     vals = np.full((size, size), np.inf)
@@ -162,7 +161,8 @@ def _alpha_grid(size: int = _GRID_SIZE) -> tuple[np.ndarray, np.ndarray, np.ndar
         for j_, w in enumerate(ws):
             if 4 * x + w * w < 1:
                 vals[i, j_] = alpha_closed(w, x)
-    _ALPHA_GRID[size] = (xs, ws, vals)
+    for arr in (xs, ws, vals):
+        arr.flags.writeable = False
     return xs, ws, vals
 
 

@@ -120,7 +120,8 @@ def _cmd_elliptic(args) -> int:
     x, w = args.x, args.w
     a1 = ell.a1_closed(x, w)
     a2_ref = ell.a2_quadrature(x, w)
-    rows = [[x, w, a1, a2_ref, a1 + a2_ref, "closed", 0.0]]
+    a2_cl = ell.a2_closed(x, w)
+    rows = [[x, w, a1, a2_cl, a1 + a2_cl, "closed", abs(a2_cl - a2_ref)]]
     a2_chk = ell.a2_checkpoint(x, w)
     rows.append([x, w, a1, a2_chk, a1 + a2_chk, "checkpoint", abs(a2_chk - a2_ref)])
     if w > 0:
@@ -289,6 +290,7 @@ def _check_closed_route() -> None:
         assert abs(closed - con) < 1e-9, (w, x, closed, con)
     x, w = 0.1, 0.2
     ref = ell.a2_quadrature(x, w)
+    assert abs(ell.a2_closed(x, w) - ref) <= 1e-12 * (1 + ref)
     assert abs(ell.a2_checkpoint(x, w) - ref) < 1e-10
     val, _, terms = ell.a2_pi_combination(x, w)
     assert abs(val - ref) < 1e-8

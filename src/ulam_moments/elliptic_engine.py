@@ -13,17 +13,27 @@ come in reciprocal pairs; the roots are computed from the outer (additive,
 cancellation-free) closed forms and the inner ones as exact reciprocals,
 which makes the inversive products hold to the last bit.
 
-A2 has three independent evaluators: the direct Gauss-Legendre quadrature
-(reference), the same integral on the Moebius-transformed interval
-(checkpoint), and the reduction to Legendre normal form yielding an exact
-combination of complete elliptic integrals K and Pi (the headline identity).
+A2 has four independent evaluators:
+
+- a2_closed (production, behind alpha_closed): Carlson's reduction of the
+  cut integral over the four real roots of Q1 to one R_F and four R_J, in
+  O(1) with no quadrature;
+- a2_quadrature (reference): Gauss-Legendre on the interval, endpoint
+  singularities absorbed, node doubling to a tolerance;
+- a2_checkpoint: the same integral on the Moebius-transformed interval;
+- a2_pi_combination (the headline identity): the reduction to Legendre
+  normal form and an exact combination of complete integrals K and Pi.
+
+The complete Carlson integrals R_F(0, y, z), R_J(0, y, z, p) and the
+elementary R_C(x, y) are evaluated here on the arithmetic-geometric mean,
+so that importing the package loads no scipy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi, sqrt
+from math import atan2, log1p, pi, sqrt
 
 import numpy as np
 
@@ -80,6 +90,23 @@ def q2_roots(x: float, w: float) -> QuarticRootSet:
     b1 = (1 - s + sqrt(1 + w * w - 2 * s)) / (2 * x)
     b2 = (1 + s + sqrt(1 + w * w + 2 * s)) / (2 * x)
     return QuarticRootSet(x=x, w=w, roots=(1 / b2, 1 / b1, b1, b2))
+
+
+def _root_gaps(
+    x: float, w: float, q1: tuple[float, ...], q2: tuple[float, ...]
+) -> tuple[float, float, float, float]:
+    """The distances c1 - a1, a2 - c2, d1 - b1, b2 - d2 between the two root
+    sets, each O(w^2), in cancellation-free forms: with s = sqrt(4x^2 + w^2)
+    and t = s + 2x, s - 2x = w^2 / t and the square-root differences are
+    rationalized, so every term is a sum of positive parts."""
+    c1, c2, _, _ = q1
+    a1, a2, _, _ = q2
+    w2 = w * w
+    s = sqrt(4 * x * x + w2)
+    t = s + 2 * x
+    gb1 = w2 * (1 + (2 - t) / (sqrt(1 - 4 * x) + sqrt(1 + w2 - 2 * s))) / (2 * x * t)
+    gb2 = w2 * (1 / t + (1 + 2 / t) / (sqrt(1 + w2 + 2 * s) + sqrt(1 + 4 * x))) / (2 * x)
+    return gb2 * c1 * a1, gb1 * c2 * a2, gb1, gb2
 
 
 def g_tilde(x: float, xi: complex) -> complex:
@@ -244,56 +271,174 @@ def a2_checkpoint(
     )
 
 
+def _agm(a: float, g: float) -> float:
+    """Arithmetic-geometric mean M(a, g) of two positive numbers.
+
+    The iteration contracts quadratically; the loop is capped because the
+    |a - g| gap can stall within a few ulps of the fixed point."""
+    for _ in range(60):
+        if abs(a - g) <= 4e-16 * a:
+            break
+        a, g = (a + g) / 2, sqrt(a * g)
+    return a
+
+
+def carlson_rf0(y: float, z: float) -> float:
+    """Complete R_F(0, y, z) = pi / (2 M(sqrt(y), sqrt(z))), the AGM form
+    of K."""
+    if not (y > 0 and z > 0):
+        raise ValueError(f"carlson_rf0 needs y, z > 0, got y={y}, z={z}")
+    return pi / (2 * _agm(sqrt(y), sqrt(z)))
+
+
+def carlson_rj0(y: float, z: float, p: float) -> float:
+    """Complete R_J(0, y, z, p) by the AGM Q-sum of DLMF 19.8.6-7:
+
+        R_J(0, g0^2, a0^2, p0^2) = 3 pi / (4 M(a0, g0) p0^2) * sum_n Q_n,
+        p_{n+1} = (p_n^2 + a_n g_n) / (2 p_n),
+        eps_n = (p_n^2 - a_n g_n) / (p_n^2 + a_n g_n),
+        Q_0 = 1, Q_{n+1} = Q_n eps_n / 2.
+
+    Summed as written, the Q_n alternate in sign when p << y, z and the
+    sum loses a factor of about sqrt(z / p) in accuracy. Nested backwards
+    instead, the tails T_n = sum_{m>=n} Q_m / Q_n and U_n = 2 - T_n obey
+
+        (T_n, U_n) = ((1 + eps_n) T_{n+1} + U_{n+1}, (1 - eps_n) T_{n+1} + U_{n+1}) / 2
+
+    with nonnegative coefficients, so the first row of the product of
+    these 2 x 2 steps, accumulated forwards, gives T_0 = sum_n Q_n free of
+    cancellation for every p > 0."""
+    if not (y > 0 and z > 0 and p > 0):
+        raise ValueError(f"carlson_rj0 needs y, z, p > 0, got y={y}, z={z}, p={p}")
+    a, g, q = sqrt(y), sqrt(z), sqrt(p)
+    r0, r1 = 1.0, 0.0
+    # From the second step on, p_n halves per step until it meets the AGM,
+    # so the cap covers every ratio p / z a float can hold.
+    for _ in range(2200):
+        ag = a * g
+        q2 = q * q
+        den = q2 + ag
+        r0, r1 = (r0 * q2 + r1 * ag) / den, (r0 + r1) / 2
+        if abs(q2 - ag) <= 1e-9 * den and abs(a - g) <= 4e-16 * a:
+            return 3 * pi * (r0 + r1) / (4 * a * p)
+        a, g, q = (a + g) / 2, sqrt(ag), den / (2 * q)
+    raise ArithmeticError(f"R_J AGM did not converge at (y={y}, z={z}, p={p})")
+
+
+def carlson_rc(x: float, y: float) -> float:
+    """R_C(x, y) for x >= 0, y > 0, in elementary functions (DLMF 19.2.17-19).
+
+    Both branches are written so that x -> y and x / y -> 0 or infinity keep
+    their digits: atan2 for x < y, log1p for x > y."""
+    if not (x >= 0 and y > 0):
+        raise ValueError(f"carlson_rc needs x >= 0, y > 0, got x={x}, y={y}")
+    if x < y:
+        d = sqrt(y - x)
+        return atan2(d, sqrt(x)) / d
+    if x > y:
+        d = sqrt(x - y)
+        return log1p(2 * d * (sqrt(x) + d) / y) / (2 * d)
+    return 1 / sqrt(x)
+
+
+def a2_closed(x: float, w: float) -> float:
+    """Production evaluator: the cut integral in closed form, after Carlson
+    ("A table of elliptic integrals of the third kind", Math. Comp. 51, 1988).
+
+    With P(r) = (r-c1)(c2-r)(d1-r)(d2-r), -Q1 = x^2 P and the partial
+    fractions Q1/Q2 = 1 + sum_rho res_rho / (r - rho) over the Q2 roots
+    (the residues of legendre_reduce),
+
+        A2 = (I0 + sum_rho res_rho I(rho)) / (pi x),
+        I0 = int_{c1}^{c2} dr / sqrt(P) = 2 R_F(0, u, v),
+        I(rho) = int_{c1}^{c2} dr / ((r - rho) sqrt(P))
+               = (I0 + 2 delta S R_J(0, u, v, S (c1-rho)/(c2-rho)) / (3 (c2-rho)))
+                 / (c2 - rho),
+
+    where u = (d1-c1)(d2-c2), v = (d2-c1)(d1-c2), S = (d1-c2)(d2-c2) and
+    delta = c2 - c1; the R_J argument is positive for all four roots. The
+    short distances delta, a2 - a1, b2 - b1 and those of _root_gaps come
+    from cancellation-free forms, so small w (poles next to the cut) and
+    small x keep their digits. Near the singular curve the a2 and b1 terms
+    grow like (1 - 4x - w^2)^(-1/2) and cancel, which costs digits in
+    proportion."""
+    _check_x(x)
+    if not 0 <= w or w * w >= 1 - 4 * x:
+        raise ValueError(f"a2_closed needs w >= 0 and 4x + w^2 < 1, got x={x}, w={w}")
+    q1 = q1_roots(x).roots
+    c1, c2, d1, d2 = q1
+    dd = 2 + 4 / (sqrt(1 + 4 * x) + sqrt(1 - 4 * x))  # d2 - d1
+    delta = c1 * c2 * dd
+    u = (d1 - c1) * (d2 - c2)
+    v = (d2 - c1) * (d1 - c2)
+    S = (d1 - c2) * (d2 - c2)
+    i0 = 2 * carlson_rf0(u, v)
+    total = i0
+    w2 = w * w
+    if w2 > 0:
+        q2 = q2_roots(x, w).roots
+        a1, a2, b1, b2 = q2
+        g1, g2, gb1, gb2 = _root_gaps(x, w, q1, q2)
+        aa = g1 + delta + g2  # a2 - a1
+        bb = gb1 + dd + gb2  # b2 - b1
+        # (rho, c1 - rho, c2 - rho, prod over the other roots of rho - sigma)
+        poles = (
+            (a1, g1, delta + g1, -aa * (a1 - b1) * (a1 - b2)),
+            (a2, -(delta + g2), -g2, aa * (a2 - b1) * (a2 - b2)),
+            (b1, c1 - b1, c2 - b1, -(b1 - a1) * (b1 - a2) * bb),
+            (b2, c1 - b2, c2 - b2, (b2 - a1) * (b2 - a2) * bb),
+        )
+        k3 = 2 * delta * S / 3
+        for rho, e1, e2, prod in poles:
+            res = w2 * rho * rho / (x * x * prod)
+            # res / e2 and R_J / e2 stay O(1) as w -> 0, where e2 = c2 - a2 -> 0
+            total += res / e2 * (i0 + k3 * (carlson_rj0(u, v, S * e1 / e2) / e2))
+    return total / (pi * x)
+
+
 def alpha_closed(w: float, x: float) -> float:
-    """alpha(w, x) = A1 + A2 via the residue term and the cut integral."""
+    """alpha(w, x) = A1 + A2 via the residue term and the closed-form cut
+    integral."""
     if w < 0:
         raise ValueError(f"alpha_closed needs w >= 0, got w={w}")
     _check_x(x)
     if w * w >= 1 - 4 * x:
         raise ValueError(f"alpha singular at w^2 >= 1 - 4x: w={w}, x={x}")
-    return a1_closed(x, w) + a2_quadrature(x, w)
+    return a1_closed(x, w) + a2_closed(x, w)
 
 
 def elliptic_K(k: float) -> float:
-    """Complete elliptic integral K(k) by the arithmetic-geometric mean.
-
-    The iteration contracts quadratically; the loop is capped because the
-    |a - b| gap can stall within a few ulps of the fixed point."""
+    """Complete elliptic integral K(k) = pi / (2 M(1, sqrt(1 - k^2)))."""
     if not 0 <= k < 1:
         raise ValueError(f"elliptic_K needs k in [0, 1), got k={k}")
-    a, b = 1.0, sqrt(1 - k * k)
-    for _ in range(60):
-        if abs(a - b) <= 4e-16 * a:
-            break
-        a, b = (a + b) / 2, sqrt(a * b)
-    return pi / (2 * a)
+    return pi / (2 * _agm(1.0, sqrt((1 - k) * (1 + k))))
 
 
-def elliptic_Pi(
-    k: float, lam: float, tol: float = 3e-12, max_nodes: int = 6400
-) -> float:
+def elliptic_Pi(k: float, lam: float) -> float:
     """Third-kind integral with a linear denominator:
 
         Pi(k; lam) = int_0^1 dt / (sqrt((1-t^2)(1-k^2 t^2)) * (1 - lam*t)).
 
     (The conventional form has 1 - lam*t^2; the even part in lam recovers
-    it.) Evaluated by t = sin(theta) and Gauss-Legendre node doubling."""
+    it.) In closed form, with k'^2 = 1 - k^2 and the odd part elementary:
+
+        Pi(k; lam) = K(k) + (lam^2/3) R_J(0, k'^2, 1, 1 - lam^2)
+                     + lam R_C(1 - lam^2, k'^2) / sqrt(1 - lam^2).
+
+    As lam -> -1 the even and odd parts both grow like (1 - lam^2)^(-1/2)
+    and cancel, so the relative error grows like eps / sqrt(1 - lam^2);
+    the even combination Pi(k; lam) + Pi(k; -lam) is free of it."""
     if not 0 <= k < 1:
         raise ValueError(f"elliptic_Pi needs k in [0, 1), got k={k}")
     if not abs(lam) < 1:
         raise ValueError(f"elliptic_Pi needs |lam| < 1, got lam={lam}")
-    prev = None
-    n = 200
-    while n <= max_nodes:
-        th, wth = _gl_theta(n)
-        t = np.sin(th)
-        vals = 1.0 / (np.sqrt(1 - k * k * t * t) * (1 - lam * t))
-        cur = float(wth @ vals)
-        if prev is not None and abs(cur - prev) <= tol * (1 + abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    raise ArithmeticError(f"Pi quadrature did not converge at (k={k}, lam={lam})")
+    kp2 = (1 - k) * (1 + k)
+    n1 = (1 - lam) * (1 + lam)
+    return (
+        elliptic_K(k)
+        + lam * lam / 3 * carlson_rj0(kp2, 1.0, n1)
+        + lam * carlson_rc(n1, kp2) / sqrt(n1)
+    )
 
 
 def moebius_L(z: complex) -> complex:
@@ -400,13 +545,22 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
     raw_terms: list[tuple[float, float]] = []
     pf_terms: list[tuple[float, float]] = []
     roots2 = q2_roots(x, w).roots
-    for rho in roots2:
+    g1, g2, _, _ = _root_gaps(x, w, (c1, c2, d1, d2), roots2)
+    # The inner poles sit O(w^2) from the cut ends, so their images are
+    # anchored on the exact targets -1 and 1 of c1 and c2:
+    # Phi(rho) = Phi(c) + det (rho - c) / ((C rho + D)(C c + D)).
+    anchors = {0: (c1, -1.0, -g1), 1: (c2, 1.0, g2)}
+    for i, rho in enumerate(roots2):
         res = w * w * rho * rho / (x * x)
         for sg in roots2:
             if sg != rho:
                 res /= rho - sg
         raw_terms.append((rho, float(res)))
-        sigma = float(_phi_apply(m, rho))
+        if i in anchors:
+            c, target, gap = anchors[i]
+            sigma = float(target + det * gap / ((mc * rho + md) * (mc * c + md)))
+        else:
+            sigma = float(_phi_apply(m, rho))
         if abs(sigma) <= 1:
             raise ArithmeticError(
                 f"pole image {sigma} inside [-1, 1] at (x={x}, w={w})"

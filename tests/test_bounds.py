@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ulam_moments import bounds, exact_core, perm_oracle
@@ -151,6 +152,19 @@ def test_chebyshev_bound_examples() -> None:
             assert w_star > 0
         else:
             assert w_star == 0.0
+
+
+def test_alpha_grid_cached_and_read_only() -> None:
+    first = bounds._alpha_grid()
+    assert bounds._alpha_grid() is first
+    xs, ws, vals = first
+    assert vals.shape == (xs.size, ws.size)
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    feasible = 4 * xs[:, None] + ws[None, :] ** 2 < 1
+    assert np.all(np.isfinite(vals[feasible])) and np.all(np.isinf(vals[~feasible]))
 
 
 def test_chebyshev_guards() -> None:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ulam_moments import elliptic_engine as ee
 from ulam_moments import exact_core
 
 CLI = [sys.executable, "-m", "ulam_moments.cli"]
@@ -101,6 +102,9 @@ def test_elliptic_methods_table() -> None:
         assert float(row[6]) < 1e-8
     alphas = {float(r[4]) for r in rows}
     assert max(alphas) - min(alphas) < 1e-8
+    # the closed row is the production route, not the quadrature reference
+    assert float(rows[0][3]) == ee.a2_closed(0.1, 0.2)
+    assert float(rows[0][4]) == ee.alpha_closed(0.2, 0.1)
 
 
 def test_elliptic_at_w_zero_has_two_rows() -> None:
@@ -213,6 +217,19 @@ def test_json_output_to_file(tmp_path) -> None:
     assert payload["verb"] == "table"
     assert len(payload["rows"]) == 9
     assert payload["rows"][0] == {"N": 0, "j": 0, "A": 1}
+
+
+def test_package_import_loads_no_scipy() -> None:
+    """scipy.special alone costs about 0.2-0.3 s to import; the package and
+    the CLI must not pay it (scipy.optimize is imported lazily inside the
+    Chebyshev bound)."""
+    probe = (
+        "import sys, ulam_moments, ulam_moments.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_unknown_flag_is_usage_error() -> None:

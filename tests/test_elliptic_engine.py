@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import math
+import time
+from functools import lru_cache
 from math import pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -23,6 +26,18 @@ GRID = [
 
 # the six reduction points: the two contract examples plus four spanning the region
 PI_POINTS = [(0.05, 0.1), (0.05, 0.4), (0.1, 0.2), (0.1, 0.4), (0.15, 0.3), (0.2, 0.3)]
+
+# Regions where the closed form's short distances and cancellations live:
+# w = 0, poles next to the cut (small w), small x, and the band
+# 1e-4 <= 1 - 4x - w^2 <= 1e-2 next to the singular curve.
+W0_POINTS = [(x, 0.0) for x in (0.001, 0.02, 0.1, 0.24)]
+# the K/Pi small-w rectangle, then the extremes of x at w = 1e-8
+PI_SMALL_W_POINTS = [(x, w) for x in (0.05, 0.1, 0.2, 0.23) for w in (1e-5, 2e-4, 2.7e-3)]
+SMALL_W_POINTS = PI_SMALL_W_POINTS + [(x, 1e-8) for x in (0.001, 0.03, 0.24)] + [(0.001, 1e-3)]
+SMALL_X_POINTS = [(x, w) for x in (0.001, 0.01, 0.03) for w in (0.1, 0.9)]
+BAND_POINTS = [
+    (x, sqrt(1 - 4 * x - eta)) for x in (0.001, 0.01, 0.03, 0.1, 0.2, 0.24) for eta in (1e-4, 1e-2)
+]
 
 
 def _residual_scale(x: float, r: float) -> float:
@@ -175,6 +190,72 @@ def test_a2_routes_agree(x: float, w: float) -> None:
     transformed = ee.a2_checkpoint(x, w)
     assert direct > 0
     assert transformed == pytest.approx(direct, rel=1e-10)
+    assert abs(ee.a2_closed(x, w) - direct) <= 1e-12 * (1 + direct)
+
+
+@lru_cache(maxsize=None)
+def _a2_mpmath(x: float, w: float) -> float:
+    """Independent oracle: the cut integral by tanh-sinh at 30 digits, on
+    r = c1 + (c2 - c1) sin^2(theta), with the roots recomputed in mpmath.
+    The poles a1, a2 sit O(w^2) beyond the cut ends, which puts peaks of
+    width about w / sqrt(c2 - c1) at both ends of the theta interval, so
+    the interval is split geometrically there."""
+    with mpmath.workdps(30):
+        x, w = mpmath.mpf(x), mpmath.mpf(w)
+        d1 = (1 - 2 * x + mpmath.sqrt(1 - 4 * x)) / (2 * x)
+        d2 = (1 + 2 * x + mpmath.sqrt(1 + 4 * x)) / (2 * x)
+        c1, c2 = 1 / d2, 1 / d1
+        dl = c2 - c1
+
+        def f(th):
+            s2, co2 = mpmath.sin(th) ** 2, mpmath.cos(th) ** 2
+            r = c1 + dl * s2
+            mq1_over_sq = (d1 - r) * (d2 - r)  # -Q1 / (x^2 dl^2 s2 co2)
+            num = x * dl * dl * s2 * co2
+            return 2 * num * mpmath.sqrt(mq1_over_sq) / (x * num * mq1_over_sq + w * w * r * r)
+
+        h = mpmath.pi / 2
+        pts = [0, h / 2, h]
+        e = w / mpmath.sqrt(dl)
+        while 0 < e < h / 4:
+            pts[1:1] = [e]
+            pts[-1:-1] = [h - e]
+            e *= 30
+        return float(mpmath.quad(f, sorted(pts)) / mpmath.pi)
+
+
+@pytest.mark.parametrize(
+    "x,w,tol",
+    [(x, w, 5e-15) for x, w in GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS]
+    + [(x, w, 5e-13) for x, w in BAND_POINTS],
+)
+def test_a2_closed_against_mpmath(x: float, w: float, tol: float) -> None:
+    """Worst measured on these points: 1.8e-15 off the band, 1.1e-13 in it,
+    relative to 1 + A2. In the band the a2 and b1 terms cancel; that
+    cancellation is divided by pi x, so it is worst at small x."""
+    ref = _a2_mpmath(x, w)
+    assert abs(ee.a2_closed(x, w) - ref) <= tol * (1 + ref)
+
+
+def test_a2_closed_guards() -> None:
+    with pytest.raises(ValueError):
+        ee.a2_closed(0.0, 0.1)
+    with pytest.raises(ValueError):
+        ee.a2_closed(0.1, -0.1)
+    with pytest.raises(ValueError):
+        ee.a2_closed(0.1, sqrt(1 - 0.4))  # on the singular curve
+
+
+def test_closed_routes_use_no_gauss_legendre(monkeypatch) -> None:
+    def refuse(n: int):
+        raise AssertionError(f"Gauss-Legendre rule with {n} nodes requested")
+
+    monkeypatch.setattr(ee, "_gl_theta", refuse)
+    assert ee.alpha_closed(0.3, 0.1) > 0
+    assert ee.elliptic_Pi(0.5, 0.9) > 0
+    assert ee.a2_pi_combination(0.1, 0.3)[0] > 0
+    with pytest.raises(AssertionError):
+        ee.a2_quadrature(0.1, 0.3)
 
 
 def test_a2_quadrature_guards() -> None:
@@ -266,6 +347,105 @@ def test_elliptic_pi_even_part_is_conventional_form() -> None:
     )
     got = ee.elliptic_Pi(k, lam) + ee.elliptic_Pi(k, -lam)
     assert got == pytest.approx(2 * want, rel=1e-10)
+
+
+def _pi_linear_mpmath(k: float, lam: float) -> float:
+    """30-digit Pi(k; lam): the conventional even part from mpmath, plus the
+    odd part lam int_0^1 t dt / ((1 - lam^2 t^2) sqrt(...)) by quadrature
+    after 1 - t^2 = tau^2, split where its peak of width sqrt(1 - lam^2) is."""
+    with mpmath.workdps(30):
+        k, lam = mpmath.mpf(k), mpmath.mpf(lam)
+        even = mpmath.ellippi(lam**2, k**2)
+        e = mpmath.sqrt(1 - lam**2)
+        pts = [0] + [e * 10**j for j in range(20) if e * 10**j < 1] + [1]
+        odd = lam * mpmath.quad(
+            lambda t: 1 / ((e**2 + lam**2 * t * t) * mpmath.sqrt(1 - k**2 + k**2 * t * t)),
+            pts,
+        )
+        return float(even + odd)
+
+
+@pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.99])
+def test_elliptic_pi_near_unit_lambda(k: float) -> None:
+    """Accurate to a few ulps for lam >= 0, up to lam = 1 - 1e-12 where the
+    quadrature form never converged. For lam < 0 the even and odd parts
+    cancel and the error grows like eps / sqrt(1 - lam^2), as documented."""
+    for lam in (1 - 1e-12, 0.999999, 0.9, 0.5, 0.0):
+        got, want = ee.elliptic_Pi(k, lam), _pi_linear_mpmath(k, lam)
+        assert abs(got / want - 1) <= 2e-15, lam
+        got, want = ee.elliptic_Pi(k, -lam), _pi_linear_mpmath(k, -lam)
+        assert abs(got / want - 1) <= 1e-14 / sqrt((1 - lam) * (1 + lam)), -lam
+
+
+# ------------------------------------------------------- Carlson integrals
+
+
+def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
+    """Every argument tuple that a2_closed and the K/Pi route hand to the
+    Carlson helpers over the test regions of the domain."""
+    seen: dict[str, list[tuple[float, ...]]] = {"rf0": [], "rj0": [], "rc": []}
+    for name in seen:
+        real = getattr(ee, f"carlson_{name}")
+
+        def record(*args, _real=real, _log=seen[name]):
+            _log.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(ee, f"carlson_{name}", record)
+    for x, w in GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS:
+        ee.a2_closed(x, w)
+        if x >= 0.04 and w >= 1e-5:  # inside the K/Pi route's own domain
+            ee.a2_pi_combination(x, w)
+    monkeypatch.undo()
+    return seen
+
+
+def test_carlson_helpers_on_reduction_arguments(monkeypatch) -> None:
+    """Against scipy's duplication algorithms. The R_J arguments span
+    p / z from about 1e-17 (w = 1e-8) to 1e15."""
+    args = _reduction_arguments(monkeypatch)
+    assert min(len(v) for v in args.values()) > 50
+    ratios = [p / z for _, z, p in args["rj0"]]
+    assert min(ratios) < 1e-15 and max(ratios) > 1e14
+    for y, z in args["rf0"]:
+        assert ee.carlson_rf0(y, z) == pytest.approx(scipy.special.elliprf(0, y, z), rel=2e-15)
+    for y, z, p in args["rj0"]:
+        want = scipy.special.elliprj(0, y, z, p)
+        assert ee.carlson_rj0(y, z, p) == pytest.approx(want, rel=2e-14)
+    for x, y in args["rc"]:
+        assert ee.carlson_rc(x, y) == pytest.approx(scipy.special.elliprc(x, y), rel=2e-15)
+
+
+def test_carlson_rj0_small_and_large_p() -> None:
+    """The nested Q-sum keeps its digits as p / z -> 0, where the plain
+    alternating sum loses sqrt(z / p) of them; 30-digit mpmath decides,
+    because scipy itself drifts by about 1.7e-14 at these ratios."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        y, z = 10 ** rng.uniform(-3, 3, 2)
+        p = z * 10 ** rng.uniform(-16, 16)
+        want = float(mpmath.elliprj(0, y, z, p))
+        assert ee.carlson_rj0(y, z, p) == pytest.approx(want, rel=4e-15)
+        assert ee.carlson_rj0(y, z, p) == pytest.approx(scipy.special.elliprj(0, y, z, p), rel=3e-14)
+
+
+@pytest.mark.parametrize("x,y", [(0.0, 2.0), (1e-300, 1.0), (0.5, 2.0), (2.0, 2.0),
+                                 (2.0, 2.0 * (1 - 1e-15)), (2.0, 0.5), (1e300, 1.0)])
+def test_carlson_rc_branches(x: float, y: float) -> None:
+    assert ee.carlson_rc(x, y) == pytest.approx(scipy.special.elliprc(x, y), rel=2e-15)
+
+
+def test_carlson_guards() -> None:
+    with pytest.raises(ValueError):
+        ee.carlson_rf0(0.0, 1.0)
+    with pytest.raises(ValueError):
+        ee.carlson_rj0(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        ee.carlson_rj0(1.0, math.nan, 1.0)
+    with pytest.raises(ValueError):
+        ee.carlson_rc(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        ee.carlson_rc(1.0, 0.0)
 
 
 def test_elliptic_pi_guards() -> None:
@@ -383,6 +563,21 @@ def test_pi_combination_matches_quadrature(x: float, w: float) -> None:
     assert len(terms) <= 4
     assert all(abs(lam) < 1 for _, lam in terms)
     assert math.isfinite(k_coef)
+
+
+def test_pi_combination_small_w() -> None:
+    """K/Pi at small w, where Pi's node doubling once reached leggauss(6400)
+    and failed: within 1e-10 of A2, all twelve points in under a second.
+    The 30-digit oracle stands in for a2_quadrature, which needs 3200 to
+    6400 nodes at w = 1e-5 and seconds per point to build them."""
+    spent = 0.0
+    for x, w in PI_SMALL_W_POINTS:
+        start = time.perf_counter()
+        value, _, terms = ee.a2_pi_combination(x, w)
+        spent += time.perf_counter() - start
+        assert abs(value - _a2_mpmath(x, w)) <= 1e-10, (x, w)
+        assert all(abs(lam) < 1 for _, lam in terms)
+    assert spent < 1.0
 
 
 def test_reduction_guards() -> None:
