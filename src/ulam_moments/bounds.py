@@ -3,7 +3,10 @@
 Four families: two-sided Bonferroni brackets on P(Z >= r) from factorial
 moments, a Stirling-form approximation of the log first moment, second
 moment ratio tables, and a Chebyshev-style upper bound on A(N, j) obtained
-by minimizing alpha(w, x) / (w^j x^{2N}) over the feasible region.
+by minimizing alpha(w, x) / (w^j x^{2N}) over the feasible region. In log
+coordinates that objective is convex (alpha is a power series with
+nonnegative coefficients), so a damped Newton method finds its global
+minimum, also where that lies on the face x = X_MAX.
 """
 from __future__ import annotations
 
@@ -11,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .elliptic_engine import X_MAX, alpha_closed
 from .exact_core import a_array, binomial, first_moment, second_moment
@@ -142,88 +143,86 @@ def ratio_table(pairs: list[tuple[int, int]]) -> list[RatioRow]:
     return rows
 
 
-_GRID_SIZE = 40
-_NM_BUDGET = 200
-
-
-@lru_cache(maxsize=None)
-def _alpha_grid(size: int = _GRID_SIZE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared log-spaced grid of alpha_closed over the feasible region, as
-    read-only cached arrays.
-
-    alpha does not depend on (N, j), so one grid seeds every optimization;
-    infeasible cells hold +inf.
-    """
-    xs = np.geomspace(0.005, X_MAX - 1e-4, size)
-    ws = np.geomspace(1e-3, 0.97, size)
-    vals = np.full((size, size), np.inf)
-    for i, x in enumerate(xs):
-        for j_, w in enumerate(ws):
-            if 4 * x + w * w < 1:
-                vals[i, j_] = alpha_closed(w, x)
-    for arr in (xs, ws, vals):
-        arr.flags.writeable = False
-    return xs, ws, vals
+_H = 1e-4  # finite-difference step in log coordinates, away from the curve
+_NEWTON_STEPS = 50
+_DEC_TOL = 1e-10  # a Newton decrement below this makes its step the last
+_LOG_X_MAX = math.log(X_MAX)
 
 
 def chebyshev_a_bound(N: int, j: int) -> tuple[float, tuple[float, float]]:
     """Upper bound A(N, j) <= min over feasible (x, w) of
-    alpha(w, x) / (w^j x^{2N}).
+    alpha(w, x) / (w^j x^{2N}), returned with its point (x*, w*).
 
-    Every term of the double series defining alpha is nonnegative, so any
-    single feasible evaluation already bounds A(N, j); the coarse grid plus
-    a fixed-budget Nelder-Mead polish only tightens it. For j = 0 the w
-    power is absent and the minimization runs over x alone at w = 0.
+    Every term of the double series defining alpha is nonnegative, so each
+    feasible evaluation bounds A(N, j); the best one evaluated is returned.
+    In log coordinates w = e^s, x = e^t the objective
+
+        g(s, t) = log alpha(e^s, e^t) - j s - 2N t
+
+    is a log-sum-exp of the lines j's + 2N't with weights A(N', j') 16^{-N'}
+    >= 0, hence convex, on the convex set t <= log X_MAX, 4e^t + e^{2s} < 1,
+    so its local minimum is global. A damped Newton method with Armijo
+    backtracking (Boyd and Vandenberghe, Convex Optimization, 2004, 9.5)
+    starts at (w, x) = (0.3, 0.1), with derivatives from a 9-point central
+    stencil whose step shrinks with the distance 1 - 4x - w^2 to the
+    singular curve. Boundary cases: for j = 0 the w power is absent and
+    the search runs over t alone at w = 0, where the minimum lies on
+    x = X_MAX for N >= 3. A step that would cross the face x = X_MAX is
+    projected onto it (seen for j = 1, N >= 8); while the t-derivative
+    there is negative, t stays fixed and Newton runs in s alone. The
+    stencil is then centred just inside the face, and its gradient is
+    carried to the face through the Hessian.
     """
     if N < 1 or j < 0:
         raise ValueError(f"chebyshev_a_bound needs N >= 1, j >= 0, got ({N},{j})")
-    # scipy.optimize is most of the package's import time; only this needs it
-    from scipy.optimize import minimize
+    best = [math.inf, X_MAX, 0.0, 1.0]  # g, x, w, alpha at the best point
 
-    xs, ws, avals = _alpha_grid()
-
-    if j == 0:
-        col = np.array([alpha_closed(0.0, x) for x in xs])
-        fvals = col / xs ** (2 * N)
-        i0 = int(np.argmin(fvals))
-        best = (float(fvals[i0]), float(xs[i0]), 0.0)
-
-        def f1(v: np.ndarray) -> float:
-            x = v[0]
-            if not 0 < x < X_MAX:
-                return math.inf
-            return alpha_closed(0.0, x) / x ** (2 * N)
-
-        res = minimize(
-            f1,
-            [best[1]],
-            method="Nelder-Mead",
-            options={"maxiter": _NM_BUDGET, "xatol": 1e-10, "fatol": 1e-10},
-        )
-        if res.fun < best[0]:
-            best = (float(res.fun), float(res.x[0]), 0.0)
-        return best[0], (best[1], best[2])
-
-    powers = np.outer(xs ** (2 * N), ws**j)
-    fvals = avals / powers
-    i0, j0 = np.unravel_index(int(np.argmin(fvals)), fvals.shape)
-    best = (float(fvals[i0, j0]), float(xs[i0]), float(ws[j0]))
-
-    def f2(v: np.ndarray) -> float:
-        x, w = v
-        if not (0 < x < X_MAX and 0 < w and 4 * x + w * w < 1):
+    @lru_cache(maxsize=None)
+    def g(s: float, t: float) -> float:
+        if s >= 0 or t > _LOG_X_MAX:
             return math.inf
-        return alpha_closed(w, x) / (w**j * x ** (2 * N))
+        w, x = math.exp(s), min(math.exp(t), X_MAX)
+        if w * w >= 1 - 4 * x:
+            return math.inf
+        a = alpha_closed(w, x)
+        val = math.log(a) - 2 * N * t - (j * s if j else 0.0)
+        if val < best[0]:
+            best[:] = val, x, w, a
+        return val
 
-    res = minimize(
-        f2,
-        [best[1], best[2]],
-        method="Nelder-Mead",
-        options={"maxiter": _NM_BUDGET, "xatol": 1e-10, "fatol": 1e-10},
-    )
-    if math.isfinite(res.fun) and res.fun < best[0]:
-        best = (float(res.fun), float(res.x[0]), float(res.x[1]))
-    return best[0], (best[1], best[2])
+    s, t = math.log(0.3) if j else -math.inf, math.log(0.1)
+    for _ in range(_NEWTON_STEPS):
+        h = _H * min(1.0, 10 * (1 - 4 * math.exp(t) - math.exp(2 * s)))
+        tc = min(t, _LOG_X_MAX - h)
+        f = {(a, b): g(s + a * h, tc + b * h) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+        hss = (f[1, 0] - 2 * f[0, 0] + f[-1, 0]) / h**2 if j else 1.0
+        htt = (f[0, 1] - 2 * f[0, 0] + f[0, -1]) / h**2
+        hst = (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1]) / (4 * h**2)
+        gs = (f[1, 0] - f[-1, 0]) / (2 * h) + hst * (t - tc)
+        gt = (f[0, 1] - f[0, -1]) / (2 * h) + htt * (t - tc)
+        if t >= _LOG_X_MAX and gt <= 0:  # on the face x = X_MAX: t stays fixed
+            gt, hst, htt = 0.0, 0.0, 1.0
+        det = hss * htt - hst * hst
+        if not det > 0:
+            break
+        ds, dt = (hst * gt - htt * gs) / det, (hst * gs - hss * gt) / det
+        dec = -(gs * ds + gt * dt)
+        if not dec > 0:
+            break
+        step = 1 / max(1.0, abs(ds), abs(dt))  # at most a factor e in w or x
+        while step > 1e-9:
+            s1, t1 = s + step * ds, min(t + step * dt, _LOG_X_MAX)
+            if g(s1, t1) <= g(s, t) + 1e-4 * (gs * step * ds + gt * (t1 - t)):
+                break
+            step /= 2
+        else:
+            break
+        s, t = s1, t1
+        if dec < _DEC_TOL:
+            break
+    _, x, w, a = best
+    den = w**j * x ** (2 * N)  # 0 only where the bound exceeds the float range
+    return (a / den if den else math.inf), (x, w)
 
 
 def bonferroni_csv(brackets: list[BonferroniBracket]) -> str:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ulam_moments import bounds, exact_core, perm_oracle
+from ulam_moments import elliptic_engine as ee
 
 
 # ---------------------------------------------------------------- Bonferroni
@@ -154,17 +155,43 @@ def test_chebyshev_bound_examples() -> None:
             assert w_star == 0.0
 
 
-def test_alpha_grid_cached_and_read_only() -> None:
-    first = bounds._alpha_grid()
-    assert bounds._alpha_grid() is first
-    xs, ws, vals = first
-    assert vals.shape == (xs.size, ws.size)
-    for arr in first:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    feasible = 4 * xs[:, None] + ws[None, :] ** 2 < 1
-    assert np.all(np.isfinite(vals[feasible])) and np.all(np.isinf(vals[~feasible]))
+@pytest.fixture(scope="module")
+def old_search_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 40 x 40 log grid that seeded the former Nelder-Mead search, as an
+    oracle: alpha on x by w (+inf where infeasible) and on the w = 0 column."""
+    xs = np.geomspace(0.005, bounds.X_MAX - 1e-4, 40)
+    ws = np.geomspace(1e-3, 0.97, 40)
+    vals = np.array(
+        [[ee.alpha_closed(w, x) if 4 * x + w * w < 1 else np.inf for w in ws] for x in xs]
+    )
+    return xs, ws, vals, np.array([ee.alpha_closed(0.0, x) for x in xs])
+
+
+def test_chebyshev_bound_beats_old_grid_and_is_a_local_minimum(old_search_grid) -> None:
+    """On N <= 10, j <= 6: at or below the old grid's minimum, equal to the
+    ratio at its own feasible point, and no feasible neighbour one 1e-3 log
+    step away in x, w or both is lower."""
+    xs, ws, vals, col = old_search_grid
+    for N in range(1, 11):
+        for j in range(7):
+            bound, (x, w) = bounds.chebyshev_a_bound(N, j)
+            if j == 0:
+                grid_min = np.min(col / xs ** (2 * N))
+            else:
+                grid_min = np.min(vals / np.outer(xs ** (2 * N), ws**j))
+            assert bound <= grid_min * (1 + 1e-12), (N, j)
+            assert 0 < x <= bounds.X_MAX and w * w < 1 - 4 * x
+            assert w > 0 if j else w == 0.0
+
+            def ratio(w_: float, x_: float) -> float:
+                return ee.alpha_closed(w_, x_) / (w_**j * x_ ** (2 * N))
+
+            assert bound == pytest.approx(ratio(w, x), rel=1e-13, abs=0)
+            for a in (-1, 0, 1) if j else (0,):
+                for b in (-1, 0, 1):
+                    wn, xn = w * math.exp(1e-3 * a), x * math.exp(1e-3 * b)
+                    if (a or b) and xn <= bounds.X_MAX and wn * wn < 1 - 4 * xn:
+                        assert ratio(wn, xn) >= bound * (1 - 1e-12), (N, j, a, b)
 
 
 def test_chebyshev_guards() -> None:

@@ -221,10 +221,12 @@ def test_json_output_to_file(tmp_path) -> None:
 
 def test_package_import_loads_no_scipy() -> None:
     """scipy.special alone costs about 0.2-0.3 s to import; the package and
-    the CLI must not pay it (scipy.optimize is imported lazily inside the
-    Chebyshev bound)."""
+    the CLI must not pay it, not even when the Chebyshev bound runs, inside
+    the domain and on its face x = X_MAX."""
     probe = (
         "import sys, ulam_moments, ulam_moments.cli\n"
+        "from ulam_moments.bounds import chebyshev_a_bound\n"
+        "chebyshev_a_bound(2, 1), chebyshev_a_bound(8, 1)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)

@@ -580,6 +580,24 @@ def test_pi_combination_small_w() -> None:
     assert spent < 1.0
 
 
+# x <= 0.0355, where the outer root-image targets +-1/k are large (1.6e6 at
+# x = 0.02), so the reduction's check must be relative: the four small-x K/Pi
+# inputs of the benchmark, (0.0355, 0.924) next to the singular curve, and
+# both ends of x at small and near-maximal w
+PI_SMALL_X_POINTS = [
+    (0.005, 0.2), (0.01, 0.2), (0.015, 0.5), (0.02, 0.2), (0.0355, 0.924),
+    (0.001, 0.01), (0.001, 0.9), (0.001, sqrt(1 - 0.004 - 1e-3)), (0.03, 0.05), (0.03, 0.9),
+]
+
+
+@pytest.mark.parametrize("x,w", PI_SMALL_X_POINTS)
+def test_pi_combination_small_x(x: float, w: float) -> None:
+    value, _, terms = ee.a2_pi_combination(x, w)
+    want = ee.a2_closed(x, w)
+    assert abs(value - want) <= 1e-10 * (1 + want)
+    assert all(abs(lam) < 1 for _, lam in terms)
+
+
 def test_reduction_guards() -> None:
     with pytest.raises(ValueError):
         ee.legendre_reduce(0.1, 0.0)
