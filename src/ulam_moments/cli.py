@@ -321,7 +321,7 @@ def _check_bonferroni() -> None:
 
 def _check_ratio_and_stirling() -> None:
     row = bounds_mod.ratio_table([(4, 2)])[0]
-    assert abs(row.ratio - 67 / 54) < 1e-14
+    assert row.ratio == 67 / 54
     approx_log, _ = bounds_mod.stirling_log_first_moment(2500, 50)
     exact_log = math.log(float(exact_core.first_moment(2500, 50)))
     assert abs(approx_log - exact_log) <= 0.02 * abs(exact_log)

@@ -483,7 +483,8 @@ class EllipticReduction:
     pf_constant and raw_pf_terms give the partial fractions of Q1/Q2 in the
     original variable (constant + sum residue/(z - pole)); pf_terms carries
     each pole transported through Phi as (pole_image, coefficient) with
-    coefficient = residue * det / (C*pole + D)^2."""
+    coefficient = residue * det / (C*pole + D)^2, and pf_n1 the matching
+    1 - 1/pole_image^2, formed without cancellation."""
 
     moebius: tuple[float, float, float, float]
     modulus_k: float
@@ -492,6 +493,7 @@ class EllipticReduction:
     pf_terms: list[tuple[float, float]]
     raw_pf_terms: list[tuple[float, float]]
     det: float
+    pf_n1: list[float]
 
 
 def _phi_apply(m: np.ndarray, z: complex) -> complex:
@@ -545,11 +547,13 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
 
     raw_terms: list[tuple[float, float]] = []
     pf_terms: list[tuple[float, float]] = []
+    pf_n1: list[float] = []
     roots2 = q2_roots(x, w).roots
     g1, g2, _, _ = _root_gaps(x, w, (c1, c2, d1, d2), roots2)
     # The inner poles sit O(w^2) from the cut ends, so their images are
-    # anchored on the exact targets -1 and 1 of c1 and c2:
-    # Phi(rho) = Phi(c) + det (rho - c) / ((C rho + D)(C c + D)).
+    # anchored on the exact targets t = -1 and 1 of c1 and c2:
+    # sigma = t + delta, delta = det (rho - c) / ((C rho + D)(C c + D)), and
+    # sigma^2 - 1 = delta (delta + 2t) keeps its digits where sigma rounds to t.
     anchors = {0: (c1, -1.0, -g1), 1: (c2, 1.0, g2)}
     for i, rho in enumerate(roots2):
         res = w * w * rho * rho / (x * x)
@@ -558,15 +562,18 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
                 res /= rho - sg
         raw_terms.append((rho, float(res)))
         if i in anchors:
-            c, target, gap = anchors[i]
-            sigma = float(target + det * gap / ((mc * rho + md) * (mc * c + md)))
+            c, t, gap = anchors[i]
+            delta = float(det * gap / ((mc * rho + md) * (mc * c + md)))
+            sigma, n1 = t + delta, delta * (delta + 2 * t)
         else:
             sigma = float(_phi_apply(m, rho))
-        if abs(sigma) <= 1:
+            n1 = (sigma - 1) * (sigma + 1)
+        if not n1 > 0:  # delta t > 0 for the anchored images, else |sigma| > 1
             raise ArithmeticError(
                 f"pole image {sigma} inside [-1, 1] at (x={x}, w={w})"
             )
         pf_terms.append((sigma, float(res * det / (mc * rho + md) ** 2)))
+        pf_n1.append(n1 / (sigma * sigma))
 
     return EllipticReduction(
         moebius=(float(ma), float(mb), float(mc), float(md)),
@@ -576,6 +583,7 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
         pf_terms=pf_terms,
         raw_pf_terms=raw_terms,
         det=det,
+        pf_n1=pf_n1,
     )
 
 
@@ -595,6 +603,8 @@ def a2_pi_combination(
 
     Returns (value, K-coefficient, terms) with terms = [(coefficient, lam)]
     meaning value = K-coeff * 2K(k) + sum coeff * (Pi(k; lam) + Pi(k; -lam)).
+    Each even pair is 2K + (2 lam^2/3) R_J(0, k'^2, 1, 1 - lam^2), with the
+    1 - lam^2 that legendre_reduce carries (lam may round onto +-1 at tiny w).
     """
     red = legendre_reduce(x, w)
     _, _, mc, md = red.moebius
@@ -606,11 +616,12 @@ def a2_pi_combination(
         chat += res * (-mc / (mc * rho + md))
     k_coefficient = pref * chat
 
-    value = k_coefficient * 2 * elliptic_K(k2)
+    kk, kp2 = elliptic_K(k2), (1 - k2) * (1 + k2)
+    value = k_coefficient * 2 * kk
     terms: list[tuple[float, float]] = []
-    for sigma, coef in red.pf_terms:
+    for (sigma, coef), n1 in zip(red.pf_terms, red.pf_n1):
         lam = 1.0 / sigma
         c = pref * coef * (-lam)
-        value += c * (elliptic_Pi(k2, lam) + elliptic_Pi(k2, -lam))
+        value += c * (2 * kk + 2 * lam * lam / 3 * carlson_rj0(kp2, 1.0, n1))
         terms.append((c, lam))
     return value, k_coefficient, terms

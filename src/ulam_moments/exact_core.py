@@ -43,6 +43,7 @@ __all__ = [
     "kernel",
     "multinomial",
     "second_moment",
+    "second_moment_numerator",
 ]
 
 
@@ -224,14 +225,15 @@ def a_array(N: int, j: int) -> int:
     return low * high // factorial(N) ** 2
 
 
-def second_moment(n: int, k: int) -> Fraction:
-    """E[Z_{n,k}^2] = sum_{i=0}^{k} A(k-i, i) * B(n, 2k-i), exactly.
+def second_moment_numerator(n: int, k: int) -> int:
+    """The integer S with E[Z_{n,k}^2] = S / (2k)!.
 
-    B(n, 2k-i) = c(i) / (2k)! with c(i) = C(n, 2k-i) * (2k)!/(2k-i)!, so the
-    sum has one denominator. Both factors of a term follow from the term
-    before by exact integer ratios, which makes the sum O(k) big-integer
-    steps: c(i+1) = c(i) (2k-i)^2 / (n-2k+i+1), starting where C(n, 2k-i)
-    becomes nonzero, and, from the product form of ``a_array``,
+    E[Z^2] = sum_{i=0}^{k} A(k-i, i) * B(n, 2k-i), and B(n, 2k-i) =
+    c(i) / (2k)! with c(i) = C(n, 2k-i) * (2k)!/(2k-i)!, so the sum has one
+    denominator. Both factors of a term follow from the term before by
+    exact integer ratios, which makes S O(k) big-integer steps:
+    c(i+1) = c(i) (2k-i)^2 / (n-2k+i+1), starting where C(n, 2k-i) becomes
+    nonzero, and, from the product form of ``a_array``,
 
         A(N-2, j+2) = A(N, j) N^2 (N-1)^2 (j+2N)
                       / ((j+1)(j+2N-1)(j+4N-4)(j+4N-2)(j+4N)),
@@ -254,7 +256,12 @@ def second_moment(n: int, k: int) -> Fraction:
             )
         total += a[i] * c
         c = c * (2 * k - i) ** 2 // (n - 2 * k + i + 1)
-    return Fraction(total, factorial(2 * k))
+    return total
+
+
+def second_moment(n: int, k: int) -> Fraction:
+    """E[Z_{n,k}^2] = S / (2k)!, exactly, with S from ``second_moment_numerator``."""
+    return Fraction(second_moment_numerator(n, k), factorial(2 * k))
 
 
 def first_moment(n: int, k: int) -> Fraction:

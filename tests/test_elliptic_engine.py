@@ -377,12 +377,38 @@ def test_elliptic_pi_near_unit_lambda(k: float) -> None:
         assert abs(got / want - 1) <= 1e-14 / sqrt((1 - lam) * (1 + lam)), -lam
 
 
+# x in [0.02, 0.24] and w in [1e-8, 1e-3], where the inner pole images sit
+# O(w^2) outside +-1; at w = 1e-8 and x >= 0.2 they round onto -1
+PI_TINY_W_POINTS = [
+    (x, w) for x in (0.02, 0.05, 0.1, 0.15, 0.2, 0.23, 0.24)
+    for w in (1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+]
+
+
+def test_pi_combination_tiny_w() -> None:
+    """K/Pi carries 1 - lam^2 from the anchored pole offsets into R_J, so it
+    keeps its digits down to w = 1e-8; at x = 0.001 the reduction's own
+    conditioning (3.7e-12 at w <= 1e-5) is the limit."""
+    for x, w in PI_TINY_W_POINTS:
+        want = ee.a2_closed(x, w)
+        assert abs(ee.a2_pi_combination(x, w)[0] - want) <= 1e-13 * (1 + want), (x, w)
+    for w in (1e-8, 1e-6, 1e-5, 1e-3):
+        want = ee.a2_closed(0.001, w)
+        assert abs(ee.a2_pi_combination(0.001, w)[0] - want) <= 4e-12 * (1 + want), w
+    for x, w in PI_TINY_W_POINTS:
+        red = ee.legendre_reduce(x, w)
+        for (sigma, _), n1 in zip(red.pf_terms, red.pf_n1):
+            assert 0 < n1 <= 1
+            assert n1 == pytest.approx(1 - 1 / sigma**2, rel=1e-9, abs=1e-15)
+
+
 # ------------------------------------------------------- Carlson integrals
 
 
 def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
-    """Every argument tuple that a2_closed and the K/Pi route hand to the
-    Carlson helpers over the test regions of the domain."""
+    """Every argument tuple that a2_closed, the K/Pi route and elliptic_Pi
+    at the K/Pi route's (k, lam) hand to the Carlson helpers over the test
+    regions of the domain."""
     seen: dict[str, list[tuple[float, ...]]] = {"rf0": [], "rj0": [], "rc": []}
     for name in seen:
         real = getattr(ee, f"carlson_{name}")
@@ -395,7 +421,9 @@ def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
     for x, w in GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS:
         ee.a2_closed(x, w)
         if x >= 0.04 and w >= 1e-5:  # inside the K/Pi route's own domain
-            ee.a2_pi_combination(x, w)
+            k = ee.legendre_reduce(x, w).modulus_k
+            for _, lam in ee.a2_pi_combination(x, w)[2]:
+                ee.elliptic_Pi(k, lam)
     monkeypatch.undo()
     return seen
 
