@@ -118,17 +118,6 @@ def _cmd_genfun(args) -> int:
 
 def _cmd_elliptic(args) -> int:
     x, w = args.x, args.w
-    a1 = ell.a1_closed(x, w)
-    a2_ref = ell.a2_quadrature(x, w)
-    a2_cl = ell.a2_closed(x, w)
-    rows = [[x, w, a1, a2_cl, a1 + a2_cl, "closed", abs(a2_cl - a2_ref)]]
-    a2_chk = ell.a2_checkpoint(x, w)
-    rows.append([x, w, a1, a2_chk, a1 + a2_chk, "checkpoint", abs(a2_chk - a2_ref)])
-    if w > 0:
-        a2_pi, _, _ = ell.a2_pi_combination(x, w)
-        rows.append(
-            [x, w, a1, a2_pi, a1 + a2_pi, "pi_combination", abs(a2_pi - a2_ref)]
-        )
     if args.dump_reduction:
         red = ell.legendre_reduce(x, w)
         payload = {
@@ -146,6 +135,17 @@ def _cmd_elliptic(args) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
+    a1 = ell.a1_closed(x, w)
+    a2_ref = ell.a2_quadrature(x, w)
+    a2_cl = ell.a2_closed(x, w)
+    rows = [[x, w, a1, a2_cl, a1 + a2_cl, "closed", abs(a2_cl - a2_ref)]]
+    a2_chk = ell.a2_checkpoint(x, w)
+    rows.append([x, w, a1, a2_chk, a1 + a2_chk, "checkpoint", abs(a2_chk - a2_ref)])
+    if w > 0:
+        a2_pi, _, _ = ell.a2_pi_combination(x, w)
+        rows.append(
+            [x, w, a1, a2_pi, a1 + a2_pi, "pi_combination", abs(a2_pi - a2_ref)]
+        )
     _emit(["x", "w", "a1", "a2", "alpha", "method", "residual"], rows, args)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ transfer-matrix DP over (U, number of vertical steps, tau) in O(N^4) exact
 integer updates, never listing the paths themselves. A counter-based
 generator drives the Monte Carlo mode so the sample stream is a pure function
 of (seed, sample index), independent of chunking and worker count; its kernel
-walks all samples of a chunk forward one step at a time.
+moves all samples of a chunk 8 steps per lookup into one histogram over tau.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -31,9 +32,16 @@ from .exact_core import binomial
 UNIT_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 _MC_CHUNK = 1 << 16
+# Samples walked together: arrays this small stay in cache and in the heap
+_MC_TILE = 1 << 13
 # Step of U and of V for each 2-bit digit of a generator word (UNIT_STEPS order)
-_DU = np.array([s[0] for s in UNIT_STEPS], dtype=np.int16)
-_DV = np.array([s[1] for s in UNIT_STEPS], dtype=np.int16)
+_DU = np.array([s[0] for s in UNIT_STEPS], dtype=np.int8)
+_DV = np.array([s[1] for s in UNIT_STEPS], dtype=np.int8)
+# A block of L steps is the low 2L bits of a word, with table code
+# _BLOCK_OFFSET[L] + bits; from |U| >= _HIT_REACH it cannot reach U = 0
+_BLOCK_OFFSET = {2: 0, 4: 16, 6: 272, 8: 4368}
+_BLOCK_CODES = 69904
+_HIT_REACH = 9
 
 _SM64_GOLDEN = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
@@ -192,53 +200,74 @@ def x_marginal_probability(N: int) -> Fraction:
     return Fraction(comb(2 * N, N), 4**N)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Finalizer of the splitmix64 stream, vectorized over uint64."""
-    z = x.astype(np.uint64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_SM64_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_SM64_MIX2)
-    z ^= z >> np.uint64(31)
+def _counter_words(seed: int, z: np.ndarray) -> np.ndarray:
+    """splitmix64 word of each uint64 counter z, in place: state seed + (z+1)*golden."""
+    with np.errstate(over="ignore"):
+        z += np.uint64(1)
+        z *= np.uint64(_SM64_GOLDEN)
+        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_SM64_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_SM64_MIX2)
+        z ^= z >> np.uint64(31)
     return z
 
 
-def _counter_words(seed: int, counters: np.ndarray) -> np.ndarray:
-    """64-bit word for each counter: splitmix64 state seed + (ctr+1)*golden."""
-    with np.errstate(over="ignore"):
-        state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (
-            (counters + np.uint64(1)) * np.uint64(_SM64_GOLDEN)
-        )
-        return _splitmix64(state)
+@lru_cache(maxsize=None)
+def _block_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only int8 tables of the Monte Carlo kernel: du[code] and dv[code]
+    move U and V over a block, and hits[r, code] counts its steps that end on
+    U = 0 from the start U = r - 9 (rows 0 and 18 stand for |U| >= 9: zero)."""
+    du, dv = np.zeros((2, _BLOCK_CODES), dtype=np.int8)
+    hits = np.zeros((2 * _HIT_REACH + 1, _BLOCK_CODES), dtype=np.int8)
+    for L, off in _BLOCK_OFFSET.items():
+        seg = slice(off, off + 4**L)
+        bits = np.arange(4**L, dtype=np.uint16)
+        digits = [((bits >> 2 * t) & 3).astype(np.uint8) for t in range(L)]
+        steps = [_DU[d] for d in digits]
+        du[seg], dv[seg] = sum(steps), sum(_DV[d] for d in digits)
+        for r in range(1, 2 * _HIT_REACH):
+            u = np.full(bits.size, r - _HIT_REACH, dtype=np.int8)
+            for step in steps:
+                u += step
+                hits[r, seg] += u == 0
+    du.flags.writeable = dv.flags.writeable = hits.flags.writeable = False
+    return du, dv, hits
 
 
-def _mc_chunk(
-    N: int, seed: int, start: int, stop: int, qtab: np.ndarray
-) -> tuple[int, int]:
-    """Integer (sum QR, sum (QR)^2) for samples start..stop-1.
+def _mc_chunk(N: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Histogram over tau of the returning samples among start..stop-1.
 
     Sample s reads its 2N steps from words s*W .. s*W + W - 1 of the counter
-    stream (W = ceil(2N / 32)), two bits per step from the low bits up. All
-    samples move forward together, one step at a time.
+    stream (W = ceil(2N / 32)), two bits per step from the low bits up. One
+    lookup moves the samples a block of 8 steps (or 2, 4, 6 at the end), and
+    hits, at its start U clipped to [-9, 9], counts its visits to U = 0.
     """
+    du, dv, hits = _block_tables()
+    hits = hits.reshape(-1)  # row r, code c at r * _BLOCK_CODES + c
     two_n = 2 * N
     words_per = (two_n + 31) // 32
-    idx = np.arange(start, stop, dtype=np.uint64)
-    u = np.zeros(idx.size, dtype=np.int16)
-    v = np.zeros(idx.size, dtype=np.int16)
-    tau = np.ones(idx.size, dtype=np.int16)  # t = 0 is on the axis
-    for w in range(words_per):
-        with np.errstate(over="ignore"):
-            ctrs = idx * np.uint64(words_per) + np.uint64(w)
-        word = _counter_words(seed, ctrs)
-        for _ in range(min(32, two_n - 32 * w)):
-            digit = (word & np.uint64(3)).astype(np.intp)
-            u += _DU[digit]
-            v += _DV[digit]
-            tau += u == 0
-            word >>= np.uint64(2)
-    qr = np.where((u == 0) & (v == 0), qtab[tau], 0)
-    return int(qr.sum()), int((qr * qr).sum())
+    hist = np.zeros(two_n + 2, dtype=np.int64)
+    for lo in range(start, stop, _MC_TILE):
+        n = min(_MC_TILE, stop - lo)
+        ctrs = np.arange(lo, lo + n, dtype=np.uint64) * np.uint64(words_per)
+        u = np.full(n, _HIT_REACH, dtype=np.int16)  # U + 9, the row of hits
+        v = np.zeros(n, dtype=np.int16)
+        tau = np.ones(n, dtype=np.int16)  # t = 0 is on the axis
+        for w in range(words_per):
+            word = _counter_words(seed, ctrs + np.uint64(w))
+            left = min(32, two_n - 32 * w)
+            for b in range(0, left, 8):
+                L = min(8, left - b)
+                code = (word & np.uint64(4**L - 1)).astype(np.intp) + _BLOCK_OFFSET[L]
+                row = np.clip(u, 0, 2 * _HIT_REACH).astype(np.intp)
+                tau += hits[row * _BLOCK_CODES + code]
+                u += du[code]
+                v += dv[code]
+                word >>= np.uint64(16)
+        hist += np.bincount(tau[(u == _HIT_REACH) & (v == 0)], minlength=two_n + 2)
+    return hist
 
 
 def a_monte_carlo(
@@ -246,9 +275,10 @@ def a_monte_carlo(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of A(N, j) with its standard error.
 
-    Scales the sample mean of Q*R by 16^N. Q*R accumulates as exact integers
-    per fixed-size chunk; chunks merge by addition, so results are identical
-    for any worker count and reproducible for a given (seed, samples).
+    Scales the sample mean of Q*R by 16^N. The tau histograms of fixed-size
+    chunks merge by addition, and sum Q*R and sum (Q*R)^2 are exact integers
+    formed from it, so results are identical for any worker count and
+    reproducible for a given (seed, samples).
     """
     if N < 0 or j < 0:
         raise ValueError(f"a_monte_carlo needs N, j >= 0, got ({N},{j})")
@@ -258,22 +288,22 @@ def a_monte_carlo(
     if N == 0:
         return 1.0, 0.0
     # tau = 0 cannot occur (t = 0 is always on the axis); keep a 0 placeholder
-    # so the lookup table stays indexed by tau directly
+    # so that qvals lines up with the histogram over tau
     qvals = [0] + [binomial(tau + j - 1, j) for tau in range(1, two_n + 2)]
     if max(qvals) > 10**6:
         raise ValueError(
             "Q statistic too large for the exact integer fast path; "
             f"reduce j (Q max = {max(qvals)})"
         )
-    qtab = np.array(qvals, dtype=np.int64)
     bounds = [(s, min(s + _MC_CHUNK, samples)) for s in range(0, samples, _MC_CHUNK)]
+    _block_tables()  # built here, so that worker threads never build them twice
     if workers > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _mc_chunk(N, seed, *b, qtab), bounds))
+            hist = sum(pool.map(lambda b: _mc_chunk(N, seed, *b), bounds))
     else:
-        parts = [_mc_chunk(N, seed, *b, qtab) for b in bounds]
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
+        hist = sum(_mc_chunk(N, seed, *b) for b in bounds)
+    s1 = sum(int(c) * q for c, q in zip(hist, qvals))
+    s2 = sum(int(c) * q * q for c, q in zip(hist, qvals))
     scale = 16**N
     estimate = float(Fraction(scale * s1, samples))
     if samples > 1:

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,17 @@ def test_elliptic_dump_reduction_json() -> None:
     assert 0 < payload["modulus_k"] < 1
     assert payload["det"] != 0
     assert len(payload["pf_terms"]) <= 4
+
+
+def test_elliptic_dump_reduction_skips_the_a2_routes() -> None:
+    """At w = 1e-8 the doubling A2 quadrature runs for about 30 s and then
+    raises; the dump needs only legendre_reduce, which succeeds there."""
+    t0 = time.perf_counter()
+    res = run_cli("elliptic", "--x", "0.2", "--w", "1e-8", "--dump-reduction")
+    elapsed = time.perf_counter() - t0
+    assert res.returncode == 0, res.stderr
+    assert 0 < json.loads(res.stdout)["modulus_k"] < 1
+    assert elapsed < 2.0
 
 
 # ------------------------------------------------------------------- bounds

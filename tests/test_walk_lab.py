@@ -133,11 +133,12 @@ def _splitmix64_word(seed: int, counter: int) -> int:
     return z ^ (z >> 31)
 
 
-@pytest.mark.parametrize("N", [1, 3, 17])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 16, 17, 20])
 def test_mc_chunk_matches_literal_decoding(N: int) -> None:
-    """The step-major kernel against a sample-by-sample decode of the
-    counter words through WalkPath and walk_stats (N = 17 needs two words
-    per sample)."""
+    """The block kernel against a sample-by-sample decode of the counter
+    words through WalkPath and walk_stats. N = 1..4 end on a block of 2, 4,
+    6 and 8 steps; N = 16 fills one word exactly, and N = 17 and 20 need two
+    words per sample."""
     j, seed, start, stop = 2, 0xDEADBEEF, 5, 305
     words_per = (2 * N + 31) // 32
     s1 = s2 = 0
@@ -149,8 +150,69 @@ def test_mc_chunk_matches_literal_decoding(N: int) -> None:
         s1 += qr
         s2 += qr * qr
     assert s1 > 0
-    qtab = np.array([0] + [math.comb(tau + j - 1, j) for tau in range(1, 2 * N + 2)])
-    assert walk_lab._mc_chunk(N, seed, start, stop, qtab) == (s1, s2)
+    hist = walk_lab._mc_chunk(N, seed, start, stop)
+    q = [0] + [math.comb(tau + j - 1, j) for tau in range(1, len(hist))]
+    got = (sum(int(c) * qt for c, qt in zip(hist, q)),
+           sum(int(c) * qt * qt for c, qt in zip(hist, q)))
+    assert got == (s1, s2)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_block_tables_match_per_step_walk(L: int) -> None:
+    """Every code of the 2- and 4-step blocks, and for the 6- and 8-step ones
+    2000 seeded codes plus the four straight runs (two of them are the only
+    codes that reach U = 0 from |U| = L), walked step by step from each start
+    U; a start at |U| >= 9 reads the clipped row, which must be 0."""
+    du, dv, hits = walk_lab._block_tables()
+    bits_all = range(4**L)
+    if L > 4:
+        straight = [d * (4**L - 1) // 3 for d in range(4)]
+        bits_all = straight + list(np.random.default_rng(L).integers(0, 4**L, 2000))
+    for bits in bits_all:
+        code = walk_lab._BLOCK_OFFSET[L] + int(bits)
+        moves = [walk_lab.UNIT_STEPS[(int(bits) >> 2 * t) & 3] for t in range(L)]
+        assert du[code] == sum(m[0] for m in moves)
+        assert dv[code] == sum(m[1] for m in moves)
+        for u0 in range(-12, 13):
+            u, visits = u0, 0
+            for m in moves:
+                u += m[0]
+                visits += u == 0
+            assert hits[min(max(u0, -9), 9) + 9, code] == visits, (bits, u0)
+
+
+def test_block_tables_read_only_and_built_before_dispatch() -> None:
+    assert not any(t.flags.writeable for t in walk_lab._block_tables())
+    walk_lab._block_tables.cache_clear()
+    # 5 chunks over 4 worker threads, from an empty table cache
+    spread = walk_lab.a_monte_carlo(5, 1, 300000, seed=19, workers=4)
+    assert walk_lab._block_tables.cache_info().misses == 1
+    assert spread == walk_lab.a_monte_carlo(5, 1, 300000, seed=19)
+
+
+# (estimate, stderr) of the one-step-at-a-time kernel that the block kernel
+# replaced, at seed 2024 and 70000 samples (a full chunk and a partial one)
+_MC_PINNED = {
+    (1, 0): (4.025142857142857, 0.026240971041058984),
+    (1, 2): (18.15497142857143, 0.12680062154436006),
+    (2, 0): (36.432457142857146, 0.33805112406405097),
+    (2, 2): (304.42422857142856, 3.1545544218834727),
+    (4, 0): (4909.582628571428, 65.20896714943028),
+    (4, 2): (79524.19108571428, 1235.043694080408),
+    (6, 0): (878407.0948571429, 14124.864628355697),
+    (6, 2): (21489935.9744, 414445.98368478456),
+    (16, 0): (3.794758780877393e+17, 9896745791822930.0),
+    (16, 2): (2.3411817003606147e+19, 7.849800172037185e+17),
+    (17, 0): (5.156655543347836e+18, 1.461606917992121e+17),
+    (17, 2): (3.5548035339665795e+20, 1.2999366833097234e+19),
+    (20, 0): (1.8151157663071075e+22, 5.556752315264199e+20),
+    (20, 2): (1.422560282309386e+24, 5.553602241893977e+22),
+}
+
+
+@pytest.mark.parametrize("N, j", sorted(_MC_PINNED))
+def test_monte_carlo_pinned_to_step_kernel(N: int, j: int) -> None:
+    assert walk_lab.a_monte_carlo(N, j, 70000, seed=2024) == _MC_PINNED[N, j]
 
 
 def test_monte_carlo_seed_42_regression() -> None:
