@@ -221,6 +221,8 @@ def _check_exact_identities() -> None:
     for r in range(5):
         want = exact_core.falling_factorial(z, r) / math.factorial(r)
         assert exact_core.elementary_from_power_sums(r, z) == want, r
+    for N in range(21):
+        assert exact_core.a_row(N, 40) == [exact_core.a_array(N, j) for j in range(41)], N
 
 
 def _check_perm_distribution() -> None:

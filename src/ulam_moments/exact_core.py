@@ -32,6 +32,7 @@ __all__ = [
     "ExactRational",
     "a_array",
     "a_array_direct",
+    "a_row",
     "b_coefficient",
     "bell_polynomial",
     "binomial",
@@ -223,6 +224,21 @@ def a_array(N: int, j: int) -> int:
     low = prod(range(j + 1, j + 2 * N, 2))
     high = prod(range(j + 2 * N + 2, j + 4 * N + 1, 2))
     return low * high // factorial(N) ** 2
+
+
+def a_row(N: int, j_max: int) -> list[int]:
+    """[A(N, 0), ..., A(N, j_max)] in exact integers, O(1) per entry past j = 1.
+
+    Shifting j by 2 moves each product of ``a_array`` up one factor, so
+    A(N, j+2) = A(N, j) (j+2N+1)(j+4N+2) / ((j+1)(j+2N+2)), an exact division
+    (the ratio is 1 at N = 0), with the closed form at j = 0 and 1.
+    """
+    if N < 0 or j_max < 0:
+        raise ValueError(f"a_row needs nonnegative arguments, got ({N},{j_max})")
+    row = [a_array(N, j) for j in range(min(j_max, 1) + 1)]
+    for j in range(j_max - 1):
+        row.append(row[j] * (j + 2 * N + 1) * (j + 4 * N + 2) // ((j + 1) * (j + 2 * N + 2)))
+    return row
 
 
 def second_moment_numerator(n: int, k: int) -> int:

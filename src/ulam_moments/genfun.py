@@ -4,9 +4,9 @@ alpha(w, x) = sum_{N,j} A(N, j) x^{2N} w^j is the weighted diagonal of the
 kernel-power array. Two independent evaluation routes live here:
 
  * alpha_series: truncated double sum over a cached table of normalized
-   diagonal values A(N, j) / 16^N, each the correctly rounded quotient of
-   the exact closed-form integer, with an a posteriori geometric tail
-   estimate written back into the truncation record.
+   diagonal values A(N, j) / 16^N, rows of exact integers from the recurrence
+   in j of ``exact_core.a_row``, each rounded once, with an a posteriori
+   geometric tail estimate written back into the truncation record.
  * alpha_contour: the same quantity as a single contour mean over the unit
    circle, using the algebraic square root of the quartic Q1. On |xi| = 1
    the argument of the square root is real and positive, so the trapezoid
@@ -143,11 +143,13 @@ def _check_alpha_domain(w: float, x: float) -> None:
 @lru_cache(maxsize=None)
 def diag_table(n_max: int, j_max: int) -> np.ndarray:
     """Read-only cached table tab[N, j] = A(N, j) / 16^N, each entry the
-    exact integer quotient correctly rounded to a float."""
-    tab = np.array(
-        [[exact_core.a_array(N, j) / 16**N for j in range(j_max + 1)]
-         for N in range(n_max + 1)]
-    )
+    exact integer quotient correctly rounded to a float. Row N comes from
+    ``exact_core.a_row``, one exact two-step ratio per entry."""
+    rows = []
+    for N in range(n_max + 1):
+        scale = 16**N
+        rows.append([a / scale for a in exact_core.a_row(N, j_max)])
+    tab = np.array(rows)
     tab.flags.writeable = False
     return tab
 

@@ -290,11 +290,6 @@ def a_monte_carlo(
     # tau = 0 cannot occur (t = 0 is always on the axis); keep a 0 placeholder
     # so that qvals lines up with the histogram over tau
     qvals = [0] + [binomial(tau + j - 1, j) for tau in range(1, two_n + 2)]
-    if max(qvals) > 10**6:
-        raise ValueError(
-            "Q statistic too large for the exact integer fast path; "
-            f"reduce j (Q max = {max(qvals)})"
-        )
     bounds = [(s, min(s + _MC_CHUNK, samples)) for s in range(0, samples, _MC_CHUNK)]
     _block_tables()  # built here, so that worker threads never build them twice
     if workers > 1 and len(bounds) > 1:

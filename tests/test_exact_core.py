@@ -154,6 +154,18 @@ def test_a_array_matches_convolution_sweep() -> None:
             assert exact_core.a_array(N, j) == K[N][N], (N, j)
 
 
+def test_a_row_matches_product_form() -> None:
+    """The two-step row recurrence reproduces the closed form on the whole
+    91 x 161 rectangle of the series table, and on the shortest rows."""
+    for N in range(91):
+        assert exact_core.a_row(N, 160) == [exact_core.a_array(N, j) for j in range(161)], N
+        for J in (0, 1):
+            assert exact_core.a_row(N, J) == [exact_core.a_array(N, j) for j in range(J + 1)]
+    for bad in ((-1, 0), (0, -1), (3, -2)):
+        with pytest.raises(ValueError):
+            exact_core.a_row(*bad)
+
+
 # ------------------------------------------------------------------- moments
 
 

@@ -130,8 +130,27 @@ def test_float_recursion_matches_exact_integers() -> None:
     assert raw.shape == (13, 9)
     for N in range(13):
         for j in range(9):
-            want = exact_core.a_array(N, j) / 16**N
-            assert raw[N, j] == pytest.approx(want, rel=1e-13)
+            assert raw[N, j] == exact_core.a_array(N, j) / 16**N, (N, j)
+
+
+def test_diag_table_builds_rows_without_per_entry_closed_form(monkeypatch) -> None:
+    """A fresh table evaluates the closed form at most twice per row; the
+    other entries come from the row recurrence."""
+    calls = 0
+    closed_form = exact_core.a_array
+
+    def counted(N: int, j: int) -> int:
+        nonlocal calls
+        calls += 1
+        return closed_form(N, j)
+
+    monkeypatch.setattr(exact_core, "a_array", counted)
+    genfun.diag_table.cache_clear()
+    try:
+        genfun.diag_table(12, 40)
+        assert calls <= 2 * 13
+    finally:
+        genfun.diag_table.cache_clear()
 
 
 # -------------------------------------------------------------------- alpha

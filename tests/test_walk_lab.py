@@ -238,9 +238,16 @@ def test_monte_carlo_edges_and_guards() -> None:
         walk_lab.a_monte_carlo(1, 1, 0, seed=1)
     with pytest.raises(ValueError):
         walk_lab.a_monte_carlo(-1, 0, 10, seed=1)
-    with pytest.raises(ValueError):
-        # C(36, 30) > 10^6 overflows the integer fast-path budget
-        walk_lab.a_monte_carlo(3, 30, 10, seed=1)
+    # Q reaches C(36, 30) ~ 1.9e6 at (3, 30); the sums are exact Python ints
+    want = exact_core.a_array(3, 30)
+    for seed in range(1, 6):
+        est, err = walk_lab.a_monte_carlo(3, 30, 2**14, seed=seed)
+        assert abs(est - want) <= 5 * err, seed
+        assert walk_lab.a_monte_carlo(3, 30, 2**14, seed=seed, workers=2) == (est, err)
+    many = 2 * walk_lab._MC_CHUNK + 5  # three chunks, so the thread pool runs
+    assert walk_lab.a_monte_carlo(3, 30, many, 1, workers=2) == walk_lab.a_monte_carlo(
+        3, 30, many, 1
+    )
 
 
 def test_monte_carlo_ensemble_fields() -> None:
