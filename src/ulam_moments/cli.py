@@ -244,10 +244,10 @@ def _check_walk_array() -> None:
 
 
 def _check_walk_mc() -> None:
-    one = walk_lab.a_monte_carlo(2, 1, 20000, 7)
-    two = walk_lab.a_monte_carlo(2, 1, 20000, 7)
-    assert one == two
-    par = walk_lab.a_monte_carlo(2, 1, 20000, 7, workers=3)
+    many = 2 * walk_lab._MC_CHUNK + 5  # three chunks, so the thread pool runs
+    one = walk_lab.a_monte_carlo(2, 1, many, 7)
+    assert one == walk_lab.a_monte_carlo(2, 1, many, 7)
+    par = walk_lab.a_monte_carlo(2, 1, many, 7, workers=3)
     assert one == par
     assert abs(walk_lab.polya_series(0.4, 300) - (2 / math.pi) * ell.elliptic_K(0.4)) < 1e-10
 

@@ -13,8 +13,9 @@ integer sum of Q*R over all paths. This module counts it with a
 transfer-matrix DP over (U, number of vertical steps, tau) in O(N^4) exact
 integer updates, never listing the paths themselves. A counter-based
 generator drives the Monte Carlo mode so the sample stream is a pure function
-of (seed, sample index), independent of chunking and worker count; its kernel
-moves all samples of a chunk 8 steps per lookup into one histogram over tau.
+of (seed, sample index), independent of chunking and worker count. Its kernel
+decides R_N by popcounts in the rotated coordinates X = U + V, Y = U - V, and
+walks only the returning samples, about 1/(pi N) of them, to find tau.
 """
 from __future__ import annotations
 
@@ -34,9 +35,8 @@ UNIT_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 _MC_CHUNK = 1 << 16
 # Samples walked together: arrays this small stay in cache and in the heap
 _MC_TILE = 1 << 13
-# Step of U and of V for each 2-bit digit of a generator word (UNIT_STEPS order)
+# Step of U for each 2-bit digit of a generator word (UNIT_STEPS order)
 _DU = np.array([s[0] for s in UNIT_STEPS], dtype=np.int8)
-_DV = np.array([s[1] for s in UNIT_STEPS], dtype=np.int8)
 # A block of L steps is the low 2L bits of a word, with table code
 # _BLOCK_OFFSET[L] + bits; from |U| >= _HIT_REACH it cannot reach U = 0
 _BLOCK_OFFSET = {2: 0, 4: 16, 6: 272, 8: 4368}
@@ -46,6 +46,7 @@ _HIT_REACH = 9
 _SM64_GOLDEN = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
+_H_BITS, _L_BITS = 0xAAAAAAAAAAAAAAAA, 0x5555555555555555  # h and l of each digit 2h + l
 
 
 @dataclass(frozen=True)
@@ -200,63 +201,80 @@ def x_marginal_probability(N: int) -> Fraction:
     return Fraction(comb(2 * N, N), 4**N)
 
 
-def _counter_words(seed: int, z: np.ndarray) -> np.ndarray:
-    """splitmix64 word of each uint64 counter z, in place: state seed + (z+1)*golden."""
-    with np.errstate(over="ignore"):
-        z += np.uint64(1)
-        z *= np.uint64(_SM64_GOLDEN)
-        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_SM64_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_SM64_MIX2)
-        z ^= z >> np.uint64(31)
-    return z
-
-
 @lru_cache(maxsize=None)
-def _block_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only int8 tables of the Monte Carlo kernel: du[code] and dv[code]
-    move U and V over a block, and hits[r, code] counts its steps that end on
-    U = 0 from the start U = r - 9 (rows 0 and 18 stand for |U| >= 9: zero)."""
-    du, dv = np.zeros((2, _BLOCK_CODES), dtype=np.int8)
+def _block_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int8 tables of the Monte Carlo kernel: du[code] moves U over
+    a block, and hits[r, code] counts its steps that end on U = 0 from the
+    start U = r - 9 (rows 0 and 18 stand for |U| >= 9: zero)."""
+    du = np.zeros(_BLOCK_CODES, dtype=np.int8)
     hits = np.zeros((2 * _HIT_REACH + 1, _BLOCK_CODES), dtype=np.int8)
     for L, off in _BLOCK_OFFSET.items():
         seg = slice(off, off + 4**L)
         bits = np.arange(4**L, dtype=np.uint16)
-        digits = [((bits >> 2 * t) & 3).astype(np.uint8) for t in range(L)]
-        steps = [_DU[d] for d in digits]
-        du[seg], dv[seg] = sum(steps), sum(_DV[d] for d in digits)
+        steps = [_DU[(bits >> 2 * t) & 3] for t in range(L)]
+        du[seg] = sum(steps)
         for r in range(1, 2 * _HIT_REACH):
             u = np.full(bits.size, r - _HIT_REACH, dtype=np.int8)
             for step in steps:
                 u += step
                 hits[r, seg] += u == 0
-    du.flags.writeable = dv.flags.writeable = hits.flags.writeable = False
-    return du, dv, hits
+    du.flags.writeable = hits.flags.writeable = False
+    return du, hits
+
+
+def _returned(words: np.ndarray, N: int) -> np.ndarray:
+    """Whether each column of words, read as 2N digits, walks back to (0, 0).
+
+    In the rotated coordinates X = U + V and Y = U - V a digit 2h + l moves X
+    by -1 iff h = 1 and Y by -1 iff h xor l = 1 (by +1 otherwise), so a walk
+    returns iff both bit patterns have popcount N.
+    """
+    x_down = y_down = np.uint8(0) if N < 128 else np.int32(0)  # uint8 holds 2N < 256
+    for w, z in enumerate(words):
+        used = (1 << 2 * min(32, 2 * N - 32 * w)) - 1
+        x_down = x_down + np.bitwise_count(z & (_H_BITS & used))
+        y_down = y_down + np.bitwise_count((z ^ z >> 1) & (_L_BITS & used))
+    return (x_down == N) & (y_down == N)
 
 
 def _mc_chunk(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     """Histogram over tau of the returning samples among start..stop-1.
 
     Sample s reads its 2N steps from words s*W .. s*W + W - 1 of the counter
-    stream (W = ceil(2N / 32)), two bits per step from the low bits up. One
-    lookup moves the samples a block of 8 steps (or 2, 4, 6 at the end), and
-    hits, at its start U clipped to [-9, 9], counts its visits to U = 0.
+    stream (W = ceil(2N / 32)), two bits per step from the low bits up. Word c
+    is splitmix64 of the state seed + (c+1)*golden mod 2^64, so in a tile the
+    states of word w step by W*golden from one base. _returned keeps the
+    samples whose X = U + V and Y = U - V both end at 0, by popcount, and only
+    those are walked, 8 steps (or 2, 4, 6 at the end) per lookup: hits, at the
+    block's start U clipped to [-9, 9], counts its visits to U = 0.
     """
-    du, dv, hits = _block_tables()
+    du, hits = _block_tables()
     hits = hits.reshape(-1)  # row r, code c at r * _BLOCK_CODES + c
     two_n = 2 * N
     words_per = (two_n + 31) // 32
+    picked = []
+    with np.errstate(over="ignore"):
+        ramp = np.arange(min(_MC_TILE, stop - start), dtype=np.uint64)
+        ramp *= words_per * _SM64_GOLDEN % 2**64
+        for lo in range(start, stop, _MC_TILE):
+            n = min(_MC_TILE, stop - lo)
+            words = np.empty((words_per, n), dtype=np.uint64)
+            for w, z in enumerate(words):
+                base = seed + (lo * words_per + w + 1) * _SM64_GOLDEN
+                np.add(ramp[:n], base % 2**64, out=z)
+                z ^= z >> 30
+                z *= _SM64_MIX1
+                z ^= z >> 27
+                z *= _SM64_MIX2
+                z ^= z >> 31
+            picked.append(words.compress(_returned(words, N), axis=1))
+    returners = np.concatenate(picked, axis=1)
     hist = np.zeros(two_n + 2, dtype=np.int64)
-    for lo in range(start, stop, _MC_TILE):
-        n = min(_MC_TILE, stop - lo)
-        ctrs = np.arange(lo, lo + n, dtype=np.uint64) * np.uint64(words_per)
-        u = np.full(n, _HIT_REACH, dtype=np.int16)  # U + 9, the row of hits
-        v = np.zeros(n, dtype=np.int16)
-        tau = np.ones(n, dtype=np.int16)  # t = 0 is on the axis
-        for w in range(words_per):
-            word = _counter_words(seed, ctrs + np.uint64(w))
+    for part in range(0, returners.shape[1], _MC_TILE):
+        words = returners[:, part : part + _MC_TILE]
+        u = np.full(words.shape[1], _HIT_REACH, dtype=np.int16)  # U + 9, the row of hits
+        tau = np.ones(words.shape[1], dtype=np.int16)  # t = 0 is on the axis
+        for w, word in enumerate(words):
             left = min(32, two_n - 32 * w)
             for b in range(0, left, 8):
                 L = min(8, left - b)
@@ -264,9 +282,8 @@ def _mc_chunk(N: int, seed: int, start: int, stop: int) -> np.ndarray:
                 row = np.clip(u, 0, 2 * _HIT_REACH).astype(np.intp)
                 tau += hits[row * _BLOCK_CODES + code]
                 u += du[code]
-                v += dv[code]
-                word >>= np.uint64(16)
-        hist += np.bincount(tau[(u == _HIT_REACH) & (v == 0)], minlength=two_n + 2)
+                word >>= 16
+        hist += np.bincount(tau, minlength=two_n + 2)
     return hist
 
 
@@ -284,6 +301,8 @@ def a_monte_carlo(
         raise ValueError(f"a_monte_carlo needs N, j >= 0, got ({N},{j})")
     if samples < 1:
         raise ValueError(f"a_monte_carlo needs samples >= 1, got {samples}")
+    if workers < 1:
+        raise ValueError(f"a_monte_carlo needs workers >= 1, got {workers}")
     two_n = 2 * N
     if N == 0:
         return 1.0, 0.0

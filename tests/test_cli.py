@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from ulam_moments import elliptic_engine as ee
-from ulam_moments import exact_core
+from ulam_moments import exact_core, walk_lab
 
 CLI = [sys.executable, "-m", "ulam_moments.cli"]
 
@@ -62,7 +62,8 @@ def test_table_requires_a_choice() -> None:
 
 
 def test_mc_reproducible_and_worker_independent() -> None:
-    args = ("mc", "--N", "2", "--j", "1", "--samples", "20000", "--seed", "11")
+    many = str(2 * walk_lab._MC_CHUNK + 5)  # three chunks, so the thread pool runs
+    args = ("mc", "--N", "2", "--j", "1", "--samples", many, "--seed", "11")
     first = run_cli(*args)
     second = run_cli(*args)
     third = run_cli(*args, "--workers", "3")
@@ -78,6 +79,15 @@ def test_mc_reproducible_and_worker_independent() -> None:
 def test_mc_missing_seed_is_usage_error() -> None:
     res = run_cli("mc", "--N", "2", "--j", "1", "--samples", "1000")
     assert res.returncode == 64
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_mc_rejects_workers_below_one(workers: str) -> None:
+    res = run_cli("mc", "--N", "2", "--j", "1", "--samples", "1000", "--seed", "1",
+                  "--workers", workers)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "error:" in res.stderr
 
 
 # ----------------------------------------------------------- alpha evaluators

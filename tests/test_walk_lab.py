@@ -133,28 +133,44 @@ def _splitmix64_word(seed: int, counter: int) -> int:
     return z ^ (z >> 31)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 16, 17, 20])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 16, 17, 20, 32, 33])
 def test_mc_chunk_matches_literal_decoding(N: int) -> None:
     """The block kernel against a sample-by-sample decode of the counter
     words through WalkPath and walk_stats. N = 1..4 end on a block of 2, 4,
-    6 and 8 steps; N = 16 fills one word exactly, and N = 17 and 20 need two
-    words per sample."""
-    j, seed, start, stop = 2, 0xDEADBEEF, 5, 305
+    6 and 8 steps; N = 16 fills one word exactly, N = 17 and 20 need two
+    words per sample, N = 32 fills two and N = 33 ends on a 2-step block of
+    a third. Seeds -1 and 2**64 + 5 wrap the counter states mod 2^64, and the
+    last range crosses a tile boundary."""
+    j = 2
+    tile = walk_lab._MC_TILE
     words_per = (2 * N + 31) // 32
-    s1 = s2 = 0
-    for sample in range(start, stop):
-        words = [_splitmix64_word(seed, sample * words_per + w) for w in range(words_per)]
-        digits = [(words[t // 32] >> (2 * (t % 32))) & 3 for t in range(2 * N)]
-        stats = walk_lab.walk_stats(WalkPath(tuple(walk_lab.UNIT_STEPS[d] for d in digits)))
-        qr = walk_lab.q_statistic(stats, j) if stats.returned else 0
-        s1 += qr
-        s2 += qr * qr
-    assert s1 > 0
-    hist = walk_lab._mc_chunk(N, seed, start, stop)
-    q = [0] + [math.comb(tau + j - 1, j) for tau in range(1, len(hist))]
-    got = (sum(int(c) * qt for c, qt in zip(hist, q)),
-           sum(int(c) * qt * qt for c, qt in zip(hist, q)))
-    assert got == (s1, s2)
+    for seed, start, stop in ((0xDEADBEEF, 5, 605), (-1, 5, 605), (2**64 + 5, 5, 605),
+                              (0xDEADBEEF, tile - 150, tile + 150)):
+        s1 = s2 = 0
+        for sample in range(start, stop):
+            words = [_splitmix64_word(seed, sample * words_per + w) for w in range(words_per)]
+            digits = [(words[t // 32] >> (2 * (t % 32))) & 3 for t in range(2 * N)]
+            stats = walk_lab.walk_stats(WalkPath(tuple(walk_lab.UNIT_STEPS[d] for d in digits)))
+            qr = walk_lab.q_statistic(stats, j) if stats.returned else 0
+            s1 += qr
+            s2 += qr * qr
+        assert s1 > 0, (seed, start)
+        hist = walk_lab._mc_chunk(N, seed, start, stop)
+        q = [0] + [math.comb(tau + j - 1, j) for tau in range(1, len(hist))]
+        got = (sum(int(c) * qt for c, qt in zip(hist, q)),
+               sum(int(c) * qt * qt for c, qt in zip(hist, q)))
+        assert got == (s1, s2), (seed, start)
+
+
+def _walk_returns(words: np.ndarray, steps: int) -> np.ndarray:
+    """Whether each column of words, walked step by step through UNIT_STEPS,
+    ends at (0, 0)."""
+    du, dv = (np.array([s[i] for s in walk_lab.UNIT_STEPS]) for i in (0, 1))
+    u = v = 0
+    for t in range(steps):
+        digit = ((words[t // 32] >> np.uint64(2 * (t % 32))) & np.uint64(3)).astype(np.intp)
+        u, v = u + du[digit], v + dv[digit]
+    return (u == 0) & (v == 0)
 
 
 @pytest.mark.parametrize("L", [2, 4, 6, 8])
@@ -162,8 +178,18 @@ def test_block_tables_match_per_step_walk(L: int) -> None:
     """Every code of the 2- and 4-step blocks, and for the 6- and 8-step ones
     2000 seeded codes plus the four straight runs (two of them are the only
     codes that reach U = 0 from |U| = L), walked step by step from each start
-    U; a start at |U| >= 9 reads the clipped row, which must be 0."""
-    du, dv, hits = walk_lab._block_tables()
+    U; a start at |U| >= 9 reads the clipped row, which must be 0. The
+    popcount return test agrees with a step-by-step walk on every code of L
+    steps, on 2000 seeded 32-step words, and on a 512-step walk that goes back
+    and forth (N = 256 needs counts wider than a byte)."""
+    codes = np.arange(4**L, dtype=np.uint64)
+    full = np.random.default_rng(L).integers(0, 2**64, 2000, dtype=np.uint64)
+    back_and_forth = np.full((16, 1), 0x8888888888888888, dtype=np.uint64)
+    for words, steps in ((codes[None, :], L), (full[None, :], 32), (back_and_forth, 512)):
+        want = _walk_returns(words, steps)
+        assert want.any()
+        assert np.array_equal(walk_lab._returned(words, steps // 2), want)
+    du, hits = walk_lab._block_tables()
     bits_all = range(4**L)
     if L > 4:
         straight = [d * (4**L - 1) // 3 for d in range(4)]
@@ -172,7 +198,6 @@ def test_block_tables_match_per_step_walk(L: int) -> None:
         code = walk_lab._BLOCK_OFFSET[L] + int(bits)
         moves = [walk_lab.UNIT_STEPS[(int(bits) >> 2 * t) & 3] for t in range(L)]
         assert du[code] == sum(m[0] for m in moves)
-        assert dv[code] == sum(m[1] for m in moves)
         for u0 in range(-12, 13):
             u, visits = u0, 0
             for m in moves:
@@ -238,6 +263,9 @@ def test_monte_carlo_edges_and_guards() -> None:
         walk_lab.a_monte_carlo(1, 1, 0, seed=1)
     with pytest.raises(ValueError):
         walk_lab.a_monte_carlo(-1, 0, 10, seed=1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            walk_lab.a_monte_carlo(2, 1, 1000, seed=1, workers=workers)
     # Q reaches C(36, 30) ~ 1.9e6 at (3, 30); the sums are exact Python ints
     want = exact_core.a_array(3, 30)
     for seed in range(1, 6):
