@@ -223,6 +223,9 @@ def _check_exact_identities() -> None:
         assert exact_core.elementary_from_power_sums(r, z) == want, r
     for N in range(21):
         assert exact_core.a_row(N, 40) == [exact_core.a_array(N, j) for j in range(41)], N
+    for k in range(41):
+        want = tuple(exact_core.a_array(k - i, i) for i in range(k + 1))
+        assert exact_core.a_diagonal(k) == want, k
 
 
 def _check_perm_distribution() -> None:

@@ -496,8 +496,14 @@ class EllipticReduction:
     pf_n1: list[float]
 
 
-def _phi_apply(m: np.ndarray, z: complex) -> complex:
-    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
+def _phi_apply(m: tuple[float, ...], z: complex) -> complex:
+    return (m[0] * z + m[1]) / (m[2] * z + m[3])
+
+
+def _compose(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...]:
+    """The Moebius map m o n; (a, b, c, d) stands for z -> (a z + b)/(c z + d)."""
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
 
 
 def legendre_reduce(x: float, w: float) -> EllipticReduction:
@@ -518,11 +524,11 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
     ktil = sqrt(1 - 16 * x * x)
     k2 = involution_J(ktil)
     p = 1 / sqrt(ktil)
-    m_l = np.array([[1.0, -1.0], [1.0, 1.0]])
-    m_scale = np.array([[-1.0 / u2, 0.0], [0.0, 1.0]])
-    m_lam = np.array([[p + 1, -p * (p + 1)], [p - 1, p * (p - 1)]])
-    m_neg = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    m = m_neg @ m_lam @ m_scale @ m_l
+    m_l = (1.0, -1.0, 1.0, 1.0)
+    m_scale = (-1.0 / u2, 0.0, 0.0, 1.0)
+    m_lam = (p + 1, -p * (p + 1), p - 1, p * (p - 1))
+    m_neg = (-1.0, 0.0, 0.0, 1.0)
+    m = _compose(_compose(_compose(m_neg, m_lam), m_scale), m_l)
 
     # relative to the target: the outer ones, +-1/k, reach 1.6e6 at x = 0.02
     targets = ((c1, -1.0), (c2, 1.0), (d1, 1 / k2), (d2, -1 / k2))
@@ -533,15 +539,10 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
             f"root-image error {worst:.3e}"
         )
 
-    ma, mb, mc, md = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    det = float(ma * md - mb * mc)
-    xi_constant = float(
-        -(x * x / k2**2)
-        * (md + mc * c1)
-        * (md + mc * c2)
-        * (md + mc * d1)
-        * (md + mc * d2)
-    )
+    ma, mb, mc, md = m
+    det = ma * md - mb * mc
+    xi_constant = (-(x * x / k2**2) * (md + mc * c1) * (md + mc * c2)
+                   * (md + mc * d1) * (md + mc * d2))
     if xi_constant <= 0:
         raise ArithmeticError(f"nonpositive quartic constant {xi_constant}")
 
@@ -560,24 +561,24 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
         for sg in roots2:
             if sg != rho:
                 res /= rho - sg
-        raw_terms.append((rho, float(res)))
+        raw_terms.append((rho, res))
         if i in anchors:
             c, t, gap = anchors[i]
-            delta = float(det * gap / ((mc * rho + md) * (mc * c + md)))
+            delta = det * gap / ((mc * rho + md) * (mc * c + md))
             sigma, n1 = t + delta, delta * (delta + 2 * t)
         else:
-            sigma = float(_phi_apply(m, rho))
+            sigma = _phi_apply(m, rho)
             n1 = (sigma - 1) * (sigma + 1)
         if not n1 > 0:  # delta t > 0 for the anchored images, else |sigma| > 1
             raise ArithmeticError(
                 f"pole image {sigma} inside [-1, 1] at (x={x}, w={w})"
             )
-        pf_terms.append((sigma, float(res * det / (mc * rho + md) ** 2)))
+        pf_terms.append((sigma, res * det / (mc * rho + md) ** 2))
         pf_n1.append(n1 / (sigma * sigma))
 
     return EllipticReduction(
-        moebius=(float(ma), float(mb), float(mc), float(md)),
-        modulus_k=float(k2),
+        moebius=m,
+        modulus_k=k2,
         xi_constant=xi_constant,
         pf_constant=1.0,
         pf_terms=pf_terms,

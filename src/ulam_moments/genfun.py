@@ -75,7 +75,6 @@ class ContourSpec:
     """Trapezoid contour-mean controls: node doubling from initial_nodes
     until successive levels agree to tol, hard-capped at max_nodes."""
 
-    radius: float = 1.0
     initial_nodes: int = 64
     max_nodes: int = 1 << 18
     tol: float = 1e-12
@@ -92,7 +91,7 @@ class SeriesTruncation:
 
 
 def diagonal_extract(f: Callable[[complex], complex], spec: ContourSpec | None = None) -> complex:
-    """Mean of f over the circle |xi| = radius, i.e. (1/2 pi i) * closed
+    """Mean of f over the unit circle |xi| = 1, i.e. (1/2 pi i) * closed
     integral of f(xi) dxi / xi.
 
     This is the constant Fourier coefficient, so for f built from a product
@@ -103,13 +102,12 @@ def diagonal_extract(f: Callable[[complex], complex], spec: ContourSpec | None =
     if spec is None:
         spec = ContourSpec()
     n = spec.initial_nodes
-    r = spec.radius
 
     def level_sum(count: int, offset: float, step: float) -> complex:
         tot = 0j
         for k in range(count):
             theta = offset + k * step
-            tot += f(r * cmath.exp(1j * theta))
+            tot += f(cmath.exp(1j * theta))
         return tot
 
     step = 2 * math.pi / n

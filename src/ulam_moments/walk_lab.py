@@ -295,10 +295,10 @@ def a_monte_carlo(
     Scales the sample mean of Q*R by 16^N. The tau histograms of fixed-size
     chunks merge by addition, and sum Q*R and sum (Q*R)^2 are exact integers
     formed from it, so results are identical for any worker count and
-    reproducible for a given (seed, samples).
+    reproducible for a given (seed, samples). N < 256, so 16^N is a float.
     """
-    if N < 0 or j < 0:
-        raise ValueError(f"a_monte_carlo needs N, j >= 0, got ({N},{j})")
+    if not (0 <= N < 256) or j < 0:
+        raise ValueError(f"a_monte_carlo needs 0 <= N < 256 and j >= 0, got ({N},{j})")
     if samples < 1:
         raise ValueError(f"a_monte_carlo needs samples >= 1, got {samples}")
     if workers < 1:

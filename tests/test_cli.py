@@ -90,6 +90,13 @@ def test_mc_rejects_workers_below_one(workers: str) -> None:
     assert "error:" in res.stderr
 
 
+def test_mc_rejects_n_beyond_float_scale() -> None:
+    res = run_cli("mc", "--N", "256", "--j", "0", "--samples", "100", "--seed", "1")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "error:" in res.stderr
+
+
 # ----------------------------------------------------------- alpha evaluators
 
 

@@ -166,6 +166,15 @@ def test_a_row_matches_product_form() -> None:
             exact_core.a_row(*bad)
 
 
+def test_a_diagonal_matches_product_form() -> None:
+    for k in range(121):
+        assert exact_core.a_diagonal(k) == tuple(
+            exact_core.a_array(k - i, i) for i in range(k + 1)
+        ), k
+    with pytest.raises(ValueError):
+        exact_core.a_diagonal(-1)
+
+
 # ------------------------------------------------------------------- moments
 
 
@@ -188,6 +197,24 @@ def test_second_moment_chain_matches_plain_sum() -> None:
             for i in range(k + 1)
         )
         assert exact_core.second_moment(n, k) == plain, (n, k)
+
+
+def test_second_moment_numerator_independent_of_memo() -> None:
+    """The integer S equals the direct sum whether the anti-diagonals are
+    cold, warm, or filled in the reverse order."""
+    pairs = [(n, k) for n in range(1, 61) for k in range(1, n + 1)] + [(10**6, 300)]
+    want = {
+        (n, k): sum(
+            exact_core.a_array(k - i, i) * math.comb(n, 2 * k - i) * math.perm(2 * k, i)
+            for i in range(k + 1)
+        )
+        for n, k in pairs
+    }
+    for clear, order in ((True, pairs), (False, pairs), (True, pairs[::-1])):
+        if clear:
+            exact_core.a_diagonal.cache_clear()
+        for n, k in order:
+            assert exact_core.second_moment_numerator(n, k) == want[n, k], (n, k)
 
 
 def test_first_moment_closed_form() -> None:

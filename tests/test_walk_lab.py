@@ -266,6 +266,11 @@ def test_monte_carlo_edges_and_guards() -> None:
     for workers in (0, -3):
         with pytest.raises(ValueError):
             walk_lab.a_monte_carlo(2, 1, 1000, seed=1, workers=workers)
+    # 16^N leaves float range at N = 256: ValueError up front, not OverflowError after sampling
+    for args in ((256, 0, 100, 1), (300, 0, 70000, 1)):
+        with pytest.raises(ValueError):
+            walk_lab.a_monte_carlo(*args)
+    assert walk_lab.a_monte_carlo(255, 0, 100, 1) == pytest.approx((1.12e305, 1.12e305), rel=1e-2)
     # Q reaches C(36, 30) ~ 1.9e6 at (3, 30); the sums are exact Python ints
     want = exact_core.a_array(3, 30)
     for seed in range(1, 6):
