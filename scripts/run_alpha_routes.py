@@ -23,8 +23,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma list of x values")
     parser.add_argument("--ws", default="0.0,0.1,0.3,0.5",
                         help="comma list of w values")
-    parser.add_argument("--nmax", type=int, default=genfun.DEFAULT_N_MAX)
-    parser.add_argument("--jmax", type=int, default=genfun.DEFAULT_J_MAX)
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 
@@ -33,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
         for w in parse_floats(args.ws):
             if 4 * x + w * w >= 1:
                 continue
-            trunc = genfun.SeriesTruncation(n_max=args.nmax, j_max=args.jmax)
+            trunc = genfun.SeriesTruncation()
             ser = genfun.alpha_series(w, x, trunc)
             con = genfun.alpha_contour(w, x)
             clo = elliptic_engine.alpha_closed(w, x)

@@ -224,23 +224,3 @@ def chebyshev_a_bound(N: int, j: int) -> tuple[float, tuple[float, float]]:
     den = w**j * x ** (2 * N)  # 0 only where the bound exceeds the float range
     return (a / den if den else math.inf), (x, w)
 
-
-def bonferroni_csv(brackets: list[BonferroniBracket]) -> str:
-    """Serialize brackets as 'n,k,r,R_even,R_odd,lower,upper,exact' rows."""
-    lines = ["n,k,r,R_even,R_odd,lower,upper,exact"]
-    for b in brackets:
-        lines.append(
-            f"{b.n},{b.k},{b.r},{b.R_even},{b.R_odd},"
-            f"{b.lower.numerator}/{b.lower.denominator},"
-            f"{b.upper.numerator}/{b.upper.denominator},"
-            f"{b.exact.numerator}/{b.exact.denominator}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def chebyshev_csv(rows: list[tuple[int, int, float, float, float, int]]) -> str:
-    """Serialize bound rows as 'N,j,bound,x_star,w_star,exact_A'."""
-    lines = ["N,j,bound,x_star,w_star,exact_A"]
-    for N, j, bound, xs_, ws_, ex in rows:
-        lines.append(f"{N},{j},{bound:.17g},{xs_:.17g},{ws_:.17g},{ex}")
-    return "\n".join(lines) + "\n"

@@ -105,7 +105,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_genfun(args) -> int:
-    trunc = genfun.SeriesTruncation(n_max=args.nmax, j_max=args.jmax)
+    trunc = genfun.SeriesTruncation()
     ser = genfun.alpha_series(args.w, args.x, trunc)
     con = genfun.alpha_contour(args.w, args.x)
     _emit(
@@ -423,8 +423,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("genfun", help="series and contour alpha routes")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--w", type=float, required=True)
-    p.add_argument("--nmax", type=int, default=genfun.DEFAULT_N_MAX)
-    p.add_argument("--jmax", type=int, default=genfun.DEFAULT_J_MAX)
     common(p)
     p.set_defaults(func=_cmd_genfun)
 

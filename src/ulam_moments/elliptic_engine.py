@@ -19,7 +19,7 @@ A2 has four independent evaluators:
   cut integral over the four real roots of Q1 to one R_F and four R_J, in
   O(1) with no quadrature;
 - a2_quadrature (reference): Gauss-Legendre on the interval, endpoint
-  singularities absorbed, node doubling to a tolerance;
+  singularities absorbed, nodes doubled from 200 to 6400 until 1e-12;
 - a2_checkpoint: the same integral on the Moebius-transformed interval;
 - a2_pi_combination (the headline identity): the reduction to Legendre
   normal form and an exact combination of complete integrals K and Pi.
@@ -30,10 +30,10 @@ so that importing the package loads no scipy.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import atan2, log1p, pi, sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -169,26 +169,41 @@ def a1_reduced(x: float, w: float) -> float:
     )
 
 
+_GL_MAX_NODES = 6400
+_GL_TOL = 1e-12
+
+
 @lru_cache(maxsize=None)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    return nodes, wts
-
-
 def _gl_theta(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule mapped to theta in (0, pi/2)."""
-    nodes, wts = _gl_nodes(n)
+    nodes, wts = np.polynomial.legendre.leggauss(n)
     return (nodes + 1) * (pi / 4), wts * (pi / 4)
 
 
-def a2_quadrature(
-    x: float, w: float, tol: float = 1e-12, max_nodes: int = 6400
+def _gl_doubling(
+    integrand: Callable[[np.ndarray], np.ndarray], scale: float, failure: str
 ) -> float:
+    """scale * the _gl_theta rule applied to integrand(theta) on (0, pi/2),
+    doubling from 200 nodes until two levels agree to _GL_TOL; raises
+    ArithmeticError(failure) once the next level would pass _GL_MAX_NODES."""
+    prev = None
+    n = 200
+    while n <= _GL_MAX_NODES:
+        th, wth = _gl_theta(n)
+        cur = scale * float(integrand(th) @ wth)
+        if prev is not None and abs(cur - prev) <= _GL_TOL * (1 + abs(cur)):
+            return cur
+        prev = cur
+        n *= 2
+    raise ArithmeticError(failure)
+
+
+def a2_quadrature(x: float, w: float) -> float:
     """Reference evaluator: A2 = (1/pi) * int_{c1}^{c2} sqrt(-Q1)/(-Q2) dr.
 
     The substitution r = c1 + (c2 - c1) sin^2(theta) absorbs both inverse
     square-root endpoint singularities, leaving a smooth integrand for
-    Gauss-Legendre; nodes double until two levels agree to tol."""
+    Gauss-Legendre (_gl_doubling)."""
     _check_x(x)
     c1, c2, d1, d2 = q1_roots(x).roots
     a1, a2, b1, b2 = q2_roots(x, w).roots
@@ -198,35 +213,28 @@ def a2_quadrature(
     # the naive r - a1 would be pure cancellation.
     gap1 = c1 - a1
     gap2 = a2 - c2
-    prev = None
-    n = 200
-    while n <= max_nodes:
-        th, wth = _gl_theta(n)
+
+    def integrand(th: np.ndarray) -> np.ndarray:
         st2 = np.sin(th) ** 2
         ct2 = np.cos(th) ** 2
         r = c1 + delta * st2
         mq2 = x * x * (delta * st2 + gap1) * (gap2 + delta * ct2) \
             * (b1 - r) * (b2 - r)
-        integ = (
+        return (
             (2 * x * delta**2 / pi)
             * st2
             * ct2
             * np.sqrt((d1 - r) * (d2 - r))
             / mq2
         )
-        cur = float(integ @ wth)
-        if prev is not None and abs(cur - prev) <= tol * (1 + abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    raise ArithmeticError(
-        f"A2 quadrature did not converge within {max_nodes} nodes at (x={x}, w={w})"
+
+    return _gl_doubling(
+        integrand, 1.0,
+        f"A2 quadrature did not converge within {_GL_MAX_NODES} nodes at (x={x}, w={w})",
     )
 
 
-def a2_checkpoint(
-    x: float, w: float, tol: float = 1e-12, max_nodes: int = 6400
-) -> float:
+def a2_checkpoint(x: float, w: float) -> float:
     """A2 on the (z-1)/(z+1)-transformed interval, as an independent check:
 
         A2 = (2 / (pi sqrt(1+4x))) * int_{-u1}^{-u2} (Q1/Q2)(z(s)) ds /
@@ -241,10 +249,8 @@ def a2_checkpoint(
     _, _, d1, d2 = q1_roots(x).roots
     lo, hi = -u1, -u2
     width = hi - lo
-    prev = None
-    n = 200
-    while n <= max_nodes:
-        th, wth = _gl_theta(n)
+
+    def integrand(th: np.ndarray) -> np.ndarray:
         st2 = np.sin(th) ** 2
         s = lo + width * st2
         z = (1 + s) / (1 - s)
@@ -260,14 +266,11 @@ def a2_checkpoint(
         )
         mq2 = mq1 + (w * z) ** 2
         smooth = np.sqrt((u1 - s) * (u2 - s))
-        integrand = 2.0 * (mq1 / mq2) / smooth  # ds/sqrt((s-lo)(hi-s)) = 2 dth
-        cur = (2 / (pi * sqrt(1 + 4 * x))) * float(wth @ integrand)
-        if prev is not None and abs(cur - prev) <= tol * (1 + abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    raise ArithmeticError(
-        f"checkpoint quadrature did not converge at (x={x}, w={w})"
+        return 2.0 * (mq1 / mq2) / smooth  # ds/sqrt((s-lo)(hi-s)) = 2 dth
+
+    return _gl_doubling(
+        integrand, 2 / (pi * sqrt(1 + 4 * x)),
+        f"checkpoint quadrature did not converge at (x={x}, w={w})",
     )
 
 

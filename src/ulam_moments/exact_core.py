@@ -26,12 +26,7 @@ from functools import lru_cache
 from math import comb, factorial, perm, prod
 from typing import Iterable, Sequence
 
-ExactInt = int
-ExactRational = Fraction
-
 __all__ = [
-    "ExactInt",
-    "ExactRational",
     "a_array",
     "a_array_direct",
     "a_diagonal",

@@ -3,14 +3,15 @@
 alpha(w, x) = sum_{N,j} A(N, j) x^{2N} w^j is the weighted diagonal of the
 kernel-power array. Two independent evaluation routes live here:
 
- * alpha_series: truncated double sum over a cached table of normalized
-   diagonal values A(N, j) / 16^N, rows of exact integers from the recurrence
-   in j of ``exact_core.a_row``, each rounded once, with an a posteriori
-   geometric tail estimate written back into the truncation record.
+ * alpha_series: truncated double sum over the cached 91 x 161 table of
+   A(N, j) / 16^N, rows of exact integers from the recurrence in j of
+   ``exact_core.a_row``, each rounded once, with an a posteriori geometric
+   tail estimate written back into the optional output record.
  * alpha_contour: the same quantity as a single contour mean over the unit
    circle, using the algebraic square root of the quartic Q1. On |xi| = 1
    the argument of the square root is real and positive, so the trapezoid
-   mean converges geometrically in the number of nodes.
+   mean converges geometrically: from 64 nodes it doubles until two levels
+   agree to 1e-12, and raises past 2^18 nodes.
 
 The closed-form route (complete elliptic integrals) lives in the companion
 elliptic module; tests pin all routes against each other.
@@ -27,8 +28,11 @@ import numpy as np
 
 from . import exact_core
 
-DEFAULT_N_MAX = 90
-DEFAULT_J_MAX = 160
+_N_MAX = 90
+_J_MAX = 160
+_CONTOUR_NODES = 64
+_CONTOUR_MAX_NODES = 1 << 18
+_CONTOUR_TOL = 1e-12
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -71,26 +75,14 @@ def kappa(w: complex, x: complex, y: complex) -> complex:
 
 
 @dataclass
-class ContourSpec:
-    """Trapezoid contour-mean controls: node doubling from initial_nodes
-    until successive levels agree to tol, hard-capped at max_nodes."""
-
-    initial_nodes: int = 64
-    max_nodes: int = 1 << 18
-    tol: float = 1e-12
-
-
-@dataclass
 class SeriesTruncation:
-    """Truncation rectangle for alpha_series; tail_bound is filled by the
-    call with a measured-ratio geometric estimate of the dropped mass."""
+    """Output record of alpha_series: tail_bound is filled by the call with
+    a measured-ratio geometric estimate of the mass outside the table."""
 
-    n_max: int = DEFAULT_N_MAX
-    j_max: int = DEFAULT_J_MAX
     tail_bound: float | None = None
 
 
-def diagonal_extract(f: Callable[[complex], complex], spec: ContourSpec | None = None) -> complex:
+def diagonal_extract(f: Callable[[complex], complex]) -> complex:
     """Mean of f over the unit circle |xi| = 1, i.e. (1/2 pi i) * closed
     integral of f(xi) dxi / xi.
 
@@ -99,9 +91,7 @@ def diagonal_extract(f: Callable[[complex], complex], spec: ContourSpec | None =
     reuses previous evaluations; raises ArithmeticError if the cap is hit
     before two consecutive levels agree.
     """
-    if spec is None:
-        spec = ContourSpec()
-    n = spec.initial_nodes
+    n = _CONTOUR_NODES
 
     def level_sum(count: int, offset: float, step: float) -> complex:
         tot = 0j
@@ -113,17 +103,17 @@ def diagonal_extract(f: Callable[[complex], complex], spec: ContourSpec | None =
     step = 2 * math.pi / n
     total = level_sum(n, 0.0, step)
     prev = total / n
-    while n < spec.max_nodes:
+    while n < _CONTOUR_MAX_NODES:
         # new nodes sit halfway between the old ones
         total += level_sum(n, step / 2, step)
         n *= 2
         step /= 2
         cur = total / n
-        if abs(cur - prev) <= spec.tol * (1 + abs(cur)):
+        if abs(cur - prev) <= _CONTOUR_TOL * (1 + abs(cur)):
             return cur
         prev = cur
     raise ArithmeticError(
-        f"contour mean did not converge within {spec.max_nodes} nodes"
+        f"contour mean did not converge within {_CONTOUR_MAX_NODES} nodes"
     )
 
 
@@ -139,14 +129,14 @@ def _check_alpha_domain(w: float, x: float) -> None:
 
 
 @lru_cache(maxsize=None)
-def diag_table(n_max: int, j_max: int) -> np.ndarray:
-    """Read-only cached table tab[N, j] = A(N, j) / 16^N, each entry the
-    exact integer quotient correctly rounded to a float. Row N comes from
-    ``exact_core.a_row``, one exact two-step ratio per entry."""
+def diag_table() -> np.ndarray:
+    """Read-only cached table tab[N, j] = A(N, j) / 16^N, N <= 90, j <= 160,
+    each entry the exact integer quotient correctly rounded to a float. Row N
+    comes from ``exact_core.a_row``, one exact two-step ratio per entry."""
     rows = []
-    for N in range(n_max + 1):
+    for N in range(_N_MAX + 1):
         scale = 16**N
-        rows.append([a / scale for a in exact_core.a_row(N, j_max)])
+        rows.append([a / scale for a in exact_core.a_row(N, _J_MAX)])
     tab = np.array(rows)
     tab.flags.writeable = False
     return tab
@@ -163,29 +153,27 @@ def _geom_tail(last: float, ratio: float) -> float:
 def alpha_series(w: float, x: float, trunc: SeriesTruncation | None = None) -> float:
     """Truncated double sum over the normalized diagonal table.
 
-    Row N contributes (16 x^2)^N * sum_j tab[N, j] w^j. When a truncation
+    Row N contributes (16 x^2)^N * sum_j tab[N, j] w^j. When an output
     record is supplied, its tail_bound field receives the sum of two
     measured-ratio geometric estimates (row tail in N, column tail in j).
     """
     _check_alpha_domain(w, x)
-    if trunc is None:
-        trunc = SeriesTruncation()
-    if trunc.n_max < 1 or trunc.j_max < 1:
-        raise ValueError("truncation needs n_max >= 1 and j_max >= 1")
-    tab = diag_table(trunc.n_max, trunc.j_max)
-    ws = w ** np.arange(trunc.j_max + 1)
+    tab = diag_table()
+    ws = w ** np.arange(_J_MAX + 1)
     rows = tab @ ws
-    base = (16.0 * x * x) ** np.arange(trunc.n_max + 1)
+    base = (16.0 * x * x) ** np.arange(_N_MAX + 1)
     shells = rows * base
     total = float(shells.sum())
+    if trunc is None:
+        return total
 
     n_tail = 0.0
     if shells[-2] > 0:
         n_tail = _geom_tail(float(shells[-1]), float(shells[-1] / shells[-2]))
     j_tail = 0.0
     if w > 0:
-        last_col = tab[:, -1] * w ** trunc.j_max * base
-        prev_col = tab[:, -2] * w ** (trunc.j_max - 1) * base
+        last_col = tab[:, -1] * w ** _J_MAX * base
+        prev_col = tab[:, -2] * w ** (_J_MAX - 1) * base
         for lc, pc in zip(last_col, prev_col):
             if pc > 0:
                 j_tail += _geom_tail(float(lc), float(lc / pc))
@@ -193,7 +181,7 @@ def alpha_series(w: float, x: float, trunc: SeriesTruncation | None = None) -> f
     return total
 
 
-def alpha_contour(w: float, x: float, spec: ContourSpec | None = None) -> float:
+def alpha_contour(w: float, x: float) -> float:
     """alpha as the contour mean of 1 / (sqrt(Q1(x, xi) / xi^2) - w) on
     |xi| = 1, where Q1 is the spectral quartic.
 
@@ -208,7 +196,7 @@ def alpha_contour(w: float, x: float, spec: ContourSpec | None = None) -> float:
     def f(xi: complex) -> complex:
         return 1 / (principal_sqrt(q1_eval(x, xi) / (xi * xi)) - w)
 
-    val = diagonal_extract(f, spec)
+    val = diagonal_extract(f)
     if abs(val.imag) >= 1e-10:
         raise ArithmeticError(
             f"contour mean has non-vanishing imaginary part {val.imag:.3e}"

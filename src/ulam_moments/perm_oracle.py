@@ -174,10 +174,3 @@ def prob_at_least(n: int, k: int, r: int) -> Fraction:
     total = sum(cnt for z, cnt in dist.counts.items() if z >= r)
     return Fraction(total, factorial(n))
 
-
-def z_distribution_csv(dist: ZDistribution) -> str:
-    """Serialize a distribution as 'z,count' rows in increasing z order."""
-    lines = ["z,count"]
-    for z in sorted(dist.counts):
-        lines.append(f"{z},{dist.counts[z]}")
-    return "\n".join(lines) + "\n"

@@ -75,22 +75,6 @@ class WalkStats:
     returned: bool
 
 
-@dataclass
-class WalkEnsembleStats:
-    """Per-j mean of Q_{N,j} * R_N over the path ensemble.
-
-    Exact mode: q_r_mean[j] is the exact rational (sum over all 4^{2N}
-    paths) / 4^{2N}. Monte Carlo mode: q_r_mean[j] is (estimate, stderr) for
-    the 16^N-scaled mean, and seed records the generator key.
-    """
-
-    N: int
-    mode: str
-    samples: int
-    q_r_mean: dict
-    seed: int | None = None
-
-
 def walk_stats(path: WalkPath) -> WalkStats:
     """tau counts t in {0, ..., 2N} with U_t = 0, including both endpoints."""
     u = 0
@@ -173,17 +157,6 @@ def a_from_walk_exact(N: int, j: int) -> int:
         cnt * binomial(tau + j - 1, j)
         for tau, cnt in enumerate(enum.tau_hist_returned)
         if cnt
-    )
-
-
-def exact_ensemble(N: int, js: list[int]) -> WalkEnsembleStats:
-    """Exact-mode ensemble statistics: q_r_mean[j] = (sum Q*R)/4^{2N}."""
-    enum = enumerate_walks(N)
-    means = {
-        j: Fraction(a_from_walk_exact(N, j), enum.total) for j in js
-    }
-    return WalkEnsembleStats(
-        N=N, mode="exact", samples=enum.total, q_r_mean=means, seed=None
     )
 
 
@@ -327,16 +300,6 @@ def a_monte_carlo(
     else:
         stderr = 0.0
     return estimate, stderr
-
-
-def monte_carlo_ensemble(
-    N: int, js: list[int], samples: int, seed: int, workers: int = 1
-) -> WalkEnsembleStats:
-    """Monte Carlo ensemble: q_r_mean[j] = (estimate, stderr) at scale 16^N."""
-    means = {j: a_monte_carlo(N, j, samples, seed, workers=workers) for j in js}
-    return WalkEnsembleStats(
-        N=N, mode="monte_carlo", samples=samples, q_r_mean=means, seed=seed
-    )
 
 
 def polya_series(z: float, n_terms: int) -> float:

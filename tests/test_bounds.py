@@ -78,14 +78,6 @@ def test_bracket_guards() -> None:
         bounds.bonferroni_bracket(4, 2, 3, 2, 3)  # R_even below r
 
 
-def test_bonferroni_csv_shape() -> None:
-    rows = [bounds.bonferroni_bracket(4, 2, 1, 2, 1)]
-    text = bounds.bonferroni_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,k,r,R_even,R_odd,lower,upper,exact"
-    assert lines[1] == "4,2,1,2,1,-13/12,3/1,23/24"
-
-
 # ------------------------------------------------------------------ Stirling
 
 
@@ -229,14 +221,6 @@ def test_chebyshev_guards() -> None:
         bounds.chebyshev_a_bound(0, 1)
     with pytest.raises(ValueError):
         bounds.chebyshev_a_bound(2, -1)
-
-
-def test_chebyshev_csv_shape() -> None:
-    text = bounds.chebyshev_csv([(1, 1, 12.5, 0.1, 0.2, 10)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "N,j,bound,x_star,w_star,exact_A"
-    assert lines[1].startswith("1,1,12.5,")
-    assert lines[1].endswith(",10")
 
 
 # --------------------------------------------------- cross-module spot check

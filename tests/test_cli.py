@@ -109,6 +109,14 @@ def test_genfun_routes_agree() -> None:
     assert float(rows[0][4]) >= 0.0
 
 
+@pytest.mark.parametrize("flag", ["--nmax", "--jmax"])
+def test_genfun_has_no_truncation_flags(flag: str) -> None:
+    """The series table is fixed at 91 x 161; a size flag is malformed."""
+    res = run_cli("genfun", "--x", "0.1", "--w", "0.3", flag, "10")
+    assert res.returncode == 64
+    assert res.stdout == ""
+
+
 def test_elliptic_methods_table() -> None:
     res = run_cli("elliptic", "--x", "0.1", "--w", "0.2")
     assert res.returncode == 0

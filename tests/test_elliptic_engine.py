@@ -258,15 +258,18 @@ def test_closed_routes_use_no_gauss_legendre(monkeypatch) -> None:
         ee.a2_quadrature(0.1, 0.3)
 
 
-def test_a2_quadrature_guards() -> None:
+def test_a2_quadrature_guards(monkeypatch) -> None:
     with pytest.raises(ValueError):
         ee.a2_quadrature(0.0, 0.1)
     with pytest.raises(ValueError):
         ee.a2_quadrature(0.3, 0.1)
     with pytest.raises(ValueError):
         ee.a2_checkpoint(0.1, 0.9)
-    with pytest.raises(ArithmeticError):
-        ee.a2_quadrature(0.1, 0.1, max_nodes=100)
+    monkeypatch.setattr(ee, "_GL_MAX_NODES", 100)
+    with pytest.raises(ArithmeticError, match="A2 quadrature did not converge within 100 nodes"):
+        ee.a2_quadrature(0.1, 0.1)
+    with pytest.raises(ArithmeticError, match="checkpoint quadrature did not converge"):
+        ee.a2_checkpoint(0.1, 0.1)
 
 
 def test_alpha_closed_guards_and_growth() -> None:

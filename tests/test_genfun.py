@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ulam_moments import exact_core, genfun
 from ulam_moments.elliptic_engine import alpha_closed
-from ulam_moments.genfun import ContourSpec, SeriesTruncation, principal_sqrt
+from ulam_moments.genfun import SeriesTruncation, principal_sqrt
 
 # (x, w) pairs spanning the feasible region 4x + w^2 < 1
 POINTS = [(0.02, 0.0), (0.05, 0.1), (0.1, 0.3), (0.15, 0.5), (0.2, 0.1), (0.2, 0.3)]
@@ -96,27 +96,27 @@ def test_nested_diagonal_reproduces_squared_kernel() -> None:
     assert val.imag == pytest.approx(0.0, abs=1e-10)
 
 
-def test_diagonal_extract_cap_raises() -> None:
-    spec = ContourSpec(initial_nodes=8, max_nodes=8)
-    with pytest.raises(ArithmeticError):
-        genfun.diagonal_extract(lambda xi: 1 / (xi - 1.0001), spec)
+def test_diagonal_extract_cap_raises(monkeypatch) -> None:
+    monkeypatch.setattr(genfun, "_CONTOUR_MAX_NODES", genfun._CONTOUR_NODES)
+    with pytest.raises(ArithmeticError, match="within 64 nodes"):
+        genfun.diagonal_extract(lambda xi: 1 / (xi - 1.0001))
 
 
 # ---------------------------------------------------------------- the table
 
 
 def test_diag_table_is_exact_quotient() -> None:
-    """Every entry of the default table is A(N, j) / 16^N rounded once."""
-    tab = genfun.diag_table(genfun.DEFAULT_N_MAX, genfun.DEFAULT_J_MAX)
-    assert tab.shape == (genfun.DEFAULT_N_MAX + 1, genfun.DEFAULT_J_MAX + 1)
-    for N in range(genfun.DEFAULT_N_MAX + 1):
-        for j in range(genfun.DEFAULT_J_MAX + 1):
+    """Every entry of the 91 x 161 table is A(N, j) / 16^N rounded once."""
+    tab = genfun.diag_table()
+    assert tab.shape == (91, 161)
+    for N in range(91):
+        for j in range(161):
             assert tab[N, j] == exact_core.a_array(N, j) / 16**N, (N, j)
 
 
 def test_diag_table_exact_region_stitch() -> None:
-    """The low corner of the default table scales back to the integers A(N, j)."""
-    tab = genfun.diag_table(genfun.DEFAULT_N_MAX, genfun.DEFAULT_J_MAX)
+    """The low corner of the table scales back to the integers A(N, j)."""
+    tab = genfun.diag_table()
     for N in range(0, 9):
         for j in range(0, 7):
             want = exact_core.a_array(N, j)
@@ -124,10 +124,12 @@ def test_diag_table_exact_region_stitch() -> None:
 
 
 def test_float_recursion_matches_exact_integers() -> None:
-    """A table smaller than the default, built on its own, matches the exact
-    quotients."""
-    raw = genfun.diag_table(12, 8)
-    assert raw.shape == (13, 9)
+    """A table rebuilt from a cleared cache is read-only and matches the
+    exact quotients."""
+    genfun.diag_table.cache_clear()
+    raw = genfun.diag_table()
+    assert raw.shape == (91, 161)
+    assert not raw.flags.writeable
     for N in range(13):
         for j in range(9):
             assert raw[N, j] == exact_core.a_array(N, j) / 16**N, (N, j)
@@ -147,8 +149,8 @@ def test_diag_table_builds_rows_without_per_entry_closed_form(monkeypatch) -> No
     monkeypatch.setattr(exact_core, "a_array", counted)
     genfun.diag_table.cache_clear()
     try:
-        genfun.diag_table(12, 40)
-        assert calls <= 2 * 13
+        genfun.diag_table()
+        assert calls <= 2 * 91
     finally:
         genfun.diag_table.cache_clear()
 
@@ -157,15 +159,17 @@ def test_diag_table_builds_rows_without_per_entry_closed_form(monkeypatch) -> No
 
 
 def test_alpha_series_partial_sum_oracle() -> None:
-    """Small truncations against the literal exact double sum."""
-    trunc = SeriesTruncation(n_max=10, j_max=10)
+    """The series against the literal exact double sum over its rectangle
+    N <= 90, j <= 160, in integers over the common denominator
+    q^180 s^160 of x = p/q and w = r/s."""
+    A = [[exact_core.a_array(N, j) for j in range(161)] for N in range(91)]
     for x, w in [(0.1, 0.3), (0.05, 0.5), (0.2, 0.0)]:
-        got = genfun.alpha_series(w, x, trunc)
-        want = Fraction(0)
-        xf, wf = Fraction(x), Fraction(w)
-        for N in range(11):
-            for j in range(11):
-                want += exact_core.a_array(N, j) * xf ** (2 * N) * wf**j
+        got = genfun.alpha_series(w, x)
+        (p, q), (r, s) = x.as_integer_ratio(), w.as_integer_ratio()
+        xs = [p ** (2 * N) * q ** (180 - 2 * N) for N in range(91)]
+        ws = [r**j * s ** (160 - j) for j in range(161)]
+        num = sum(xs[N] * sum(A[N][j] * ws[j] for j in range(161)) for N in range(91))
+        want = Fraction(num, q**180 * s**160)
         assert got == pytest.approx(float(want), rel=1e-13)
 
 
@@ -214,11 +218,7 @@ def test_alpha_domain_guards() -> None:
             fn(0.95, 0.05)
 
 
-def test_alpha_series_truncation_guard() -> None:
-    with pytest.raises(ValueError):
-        genfun.alpha_series(0.1, 0.1, SeriesTruncation(n_max=0))
-
-
-def test_alpha_contour_cap_raises() -> None:
+def test_alpha_contour_cap_raises(monkeypatch) -> None:
+    monkeypatch.setattr(genfun, "_CONTOUR_MAX_NODES", genfun._CONTOUR_NODES)
     with pytest.raises(ArithmeticError):
-        genfun.alpha_contour(0.1, 0.2, ContourSpec(initial_nodes=8, max_nodes=8))
+        genfun.alpha_contour(0.1, 0.2)

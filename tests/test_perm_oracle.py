@@ -150,10 +150,3 @@ def test_guards() -> None:
     with pytest.raises(ValueError):
         perm_oracle.prob_at_least(3, 2, -1)
 
-
-def test_distribution_csv_shape() -> None:
-    text = perm_oracle.z_distribution_csv(perm_oracle.z_distribution(3, 2))
-    lines = text.strip().split("\n")
-    assert lines[0] == "z,count"
-    assert lines[1] == "0,1"
-    assert len(lines) == 5

@@ -104,15 +104,6 @@ def test_enumeration_guard() -> None:
         walk_lab.enumerate_walks(-1)
 
 
-def test_exact_ensemble_scaling() -> None:
-    ens = walk_lab.exact_ensemble(2, [0, 1, 3])
-    assert ens.mode == "exact"
-    assert ens.samples == 4**4
-    assert ens.seed is None
-    for j, mean in ens.q_r_mean.items():
-        assert 16**2 * mean == exact_core.a_array(2, j)
-
-
 def test_monte_carlo_reproducible_and_worker_independent() -> None:
     # 70000 samples spans two fixed-size chunks
     one = walk_lab.a_monte_carlo(3, 1, 70000, seed=11)
@@ -281,16 +272,6 @@ def test_monte_carlo_edges_and_guards() -> None:
     assert walk_lab.a_monte_carlo(3, 30, many, 1, workers=2) == walk_lab.a_monte_carlo(
         3, 30, many, 1
     )
-
-
-def test_monte_carlo_ensemble_fields() -> None:
-    ens = walk_lab.monte_carlo_ensemble(2, [0, 2], samples=1000, seed=5)
-    assert ens.mode == "monte_carlo"
-    assert ens.samples == 1000
-    assert ens.seed == 5
-    assert ens.q_r_mean[2] == walk_lab.a_monte_carlo(2, 2, 1000, seed=5)
-    # at j = 0 the estimator targets A(2, 0) = 36 itself
-    assert ens.q_r_mean[0][0] == pytest.approx(exact_core.a_array(2, 0), rel=0.25)
 
 
 def test_polya_series_exact_prefix_oracle() -> None:
