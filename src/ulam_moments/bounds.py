@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .elliptic_engine import X_MAX, alpha_closed
-from .exact_core import binomial, second_moment_numerator
+from .exact_core import _moment_horner, binomial
 from .perm_oracle import factorial_moment, prob_at_least
 
 RATIO_N_GUARD = 10**6
@@ -124,10 +124,10 @@ def stirling_log_first_moment(n: int, k: int) -> tuple[float, float]:
 
 
 def ratio_table(pairs: list[tuple[int, int]]) -> list[RatioRow]:
-    """E[Z^2] / E[Z]^2 per (n, k) as S k!^2 / ((2k)! C(n, k)^2), where
-    E[Z^2] = S/(2k)!: exact integers and one int / int true division, which
-    rounds correctly, so each ratio equals float() of the exact rational.
-    The rows are exhibits: only ratio >= 1 (nonnegative variance) is enforced.
+    """E[Z^2] / E[Z]^2 per (n, k) as H / (C(2k, k)^2 (n)_k), with H from
+    ``exact_core._moment_horner``: exact integers and one int / int true
+    division, which rounds correctly, so each ratio equals float() of the
+    exact rational. The rows are exhibits: only ratio >= 1 is enforced.
     """
     rows = []
     for n, k in pairs:
@@ -135,8 +135,8 @@ def ratio_table(pairs: list[tuple[int, int]]) -> list[RatioRow]:
             raise ValueError(
                 f"ratio_table guarded to n <= {RATIO_N_GUARD}, got ({n},{k})"
             )
-        num = second_moment_numerator(n, k) * math.factorial(k) ** 2
-        den = math.factorial(2 * k) * math.comb(n, k) ** 2
+        num = _moment_horner(n, k)
+        den = math.comb(2 * k, k) ** 2 * math.perm(n, k)
         if num < den:
             raise ArithmeticError(f"variance negative at ({n},{k}): {Fraction(num, den)}")
         rows.append(RatioRow(n=n, k=k, ratio=num / den))

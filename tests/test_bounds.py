@@ -125,9 +125,10 @@ def test_ratio_table_nonnegative_variance() -> None:
 
 
 def test_ratio_table_is_the_rounded_exact_ratio() -> None:
-    """The integer route equals float() of the Fraction ratio bit for bit:
-    on every 1 <= k <= n <= 60, on the default grid of
-    scripts/run_ratio_table.py and at the largest guarded n."""
+    """The integer route equals float() of the plain term-by-term ratio
+    sum_i A(k-i, i) B(n, 2k-i) / E[Z]^2 bit for bit: on every
+    1 <= k <= n <= 60, on the default grid of scripts/run_ratio_table.py
+    and at the largest guarded n."""
     pairs = [(n, k) for n in range(1, 61) for k in range(1, n + 1)]
     for n in (100, 225, 400, 900):
         for p in (0.2, 0.3, 0.4, 0.5):
@@ -136,9 +137,12 @@ def test_ratio_table_is_the_rounded_exact_ratio() -> None:
                 pairs.append((n, k))
     pairs.append((10**6, 1000))
     for row, (n, k) in zip(bounds.ratio_table(pairs), pairs):
-        mu1 = exact_core.first_moment(n, k)
+        plain = sum(
+            exact_core.a_array(k - i, i) * exact_core.b_coefficient(n, 2 * k - i)
+            for i in range(k + 1)
+        )
         assert (row.n, row.k) == (n, k)
-        assert row.ratio == float(exact_core.second_moment(n, k) / mu1**2), (n, k)
+        assert row.ratio == float(plain / exact_core.first_moment(n, k) ** 2), (n, k)
 
 
 def test_ratio_table_guards(monkeypatch) -> None:
@@ -149,12 +153,12 @@ def test_ratio_table_guards(monkeypatch) -> None:
             bounds.ratio_table([(n, k)])
     with pytest.raises(OverflowError):  # 200! exceeds the float range
         bounds.ratio_table([(200, 200)])
-    real = exact_core.second_moment_numerator
-    # ratio(n, 1) is exactly 1, so one unit less in S is a negative variance
-    monkeypatch.setattr(bounds, "second_moment_numerator", lambda n, k: real(n, k) - 1)
+    real = exact_core._moment_horner
+    # ratio(n, 1) is exactly 1, so one unit less in H is a negative variance
+    monkeypatch.setattr(bounds, "_moment_horner", lambda n, k: real(n, k) - 1)
     with pytest.raises(ArithmeticError):
         bounds.ratio_table([(10, 1)])
-    monkeypatch.setattr(bounds, "second_moment_numerator", lambda n, k: real(n, k) // 2)
+    monkeypatch.setattr(bounds, "_moment_horner", lambda n, k: real(n, k) // 2)
     with pytest.raises(ArithmeticError):
         bounds.ratio_table([(30, 3)])
 

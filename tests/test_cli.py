@@ -202,6 +202,18 @@ def test_bounds_stirling_row() -> None:
     assert abs(approx_log - exact_log) <= 0.02 * abs(exact_log)
 
 
+def test_bounds_stirling_where_first_moment_underflows() -> None:
+    """At k/n = 0.4, E[Z] = C(2500, 1000)/1000! is below the float range, yet
+    exact_log stays finite and matches a 40-digit value."""
+    res = run_cli("bounds", "--mode", "stirling", "--n", "2500", "--k", "1000")
+    assert res.returncode == 0, res.stderr
+    _, rows = parse_csv(res.stdout)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(mpmath.log(mpmath.binomial(2500, 1000) / mpmath.factorial(1000)))
+    assert float(rows[0][4]) == pytest.approx(want, rel=1e-15, abs=0)
+
+
 def test_bounds_chebyshev_row() -> None:
     res = run_cli("bounds", "--mode", "chebyshev", "--N", "1", "--j", "1")
     assert res.returncode == 0

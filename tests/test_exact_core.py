@@ -166,13 +166,13 @@ def test_a_row_matches_product_form() -> None:
             exact_core.a_row(*bad)
 
 
-def test_a_diagonal_matches_product_form() -> None:
+def test_moment_weights_match_product_form() -> None:
     for k in range(121):
-        assert exact_core.a_diagonal(k) == tuple(
-            exact_core.a_array(k - i, i) for i in range(k + 1)
+        assert exact_core.moment_weights(k) == tuple(
+            exact_core.a_array(k - i, i) * math.perm(2 * k, i) ** 2 for i in range(k + 1)
         ), k
     with pytest.raises(ValueError):
-        exact_core.a_diagonal(-1)
+        exact_core.moment_weights(-1)
 
 
 # ------------------------------------------------------------------- moments
@@ -199,9 +199,21 @@ def test_second_moment_chain_matches_plain_sum() -> None:
         assert exact_core.second_moment(n, k) == plain, (n, k)
 
 
+def test_second_moment_horner_edges() -> None:
+    """Where the Horner factors n-2k+i start at zero or below (k = n,
+    k = n-1, 2k = n-1, n, n+1), S equals the direct integer sum, for n <= 200."""
+    for n in range(1, 201):
+        for k in {n, n - 1, (n - 1) // 2, n // 2, (n + 1) // 2} - {0}:
+            want = sum(
+                exact_core.a_array(k - i, i) * math.comb(n, 2 * k - i) * math.perm(2 * k, i)
+                for i in range(k + 1)
+            )
+            assert exact_core.second_moment_numerator(n, k) == want, (n, k)
+
+
 def test_second_moment_numerator_independent_of_memo() -> None:
-    """The integer S equals the direct sum whether the anti-diagonals are
-    cold, warm, or filled in the reverse order."""
+    """The integer S equals the direct sum whether the weights are cold,
+    warm, or filled in the reverse order."""
     pairs = [(n, k) for n in range(1, 61) for k in range(1, n + 1)] + [(10**6, 300)]
     want = {
         (n, k): sum(
@@ -212,7 +224,7 @@ def test_second_moment_numerator_independent_of_memo() -> None:
     }
     for clear, order in ((True, pairs), (False, pairs), (True, pairs[::-1])):
         if clear:
-            exact_core.a_diagonal.cache_clear()
+            exact_core.moment_weights.cache_clear()
         for n, k in order:
             assert exact_core.second_moment_numerator(n, k) == want[n, k], (n, k)
 
