@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -70,20 +71,13 @@ def _emit(header: list[str], rows: list[list], args) -> None:
 
 def _cmd_table(args) -> int:
     if args.A:
-        rows = []
-        for N in range(args.nmax + 1):
-            for j in range(args.jmax + 1):
-                rows.append([N, j, exact_core.a_array(N, j)])
+        rows = [[N, j, exact_core.a_array(N, j)]
+                for N in range(args.nmax + 1) for j in range(args.jmax + 1)]
         _emit(["N", "j", "A"], rows, args)
         return EXIT_OK
     if args.moments:
-        rows = []
-        for n in range(1, args.nmax + 1):
-            for k in range(1, n + 1):
-                rows.append(
-                    [n, k, exact_core.first_moment(n, k),
-                     exact_core.second_moment(n, k)]
-                )
+        rows = [[n, k, exact_core.first_moment(n, k), exact_core.second_moment(n, k)]
+                for n in range(1, args.nmax + 1) for k in range(1, n + 1)]
         _emit(["n", "k", "first_moment", "second_moment"], rows, args)
         return EXIT_OK
     print("error: choose a table with --A or --moments", file=sys.stderr)
@@ -162,11 +156,7 @@ def _cmd_bounds(args) -> int:
         )
         return EXIT_OK
     if args.mode == "ratio":
-        pairs = []
-        for chunk in args.pairs.split(","):
-            n_s, k_s = chunk.split(":")
-            pairs.append((int(n_s), int(k_s)))
-        rows = [[r.n, r.k, r.ratio] for r in bounds_mod.ratio_table(pairs)]
+        rows = [[r.n, r.k, r.ratio] for r in bounds_mod.ratio_table(args.pairs)]
         _emit(["n", "k", "ratio"], rows, args)
         return EXIT_OK
     if args.mode == "chebyshev":
@@ -293,10 +283,10 @@ def _check_closed_route() -> None:
         closed = ell.alpha_closed(w, x)
         con = genfun.alpha_contour(w, x)
         assert abs(closed - con) < 1e-9, (w, x, closed, con)
-    x, w = 0.1, 0.2
-    ref = ell.a2_quadrature(x, w)
-    assert abs(ell.a2_closed(x, w) - ref) <= 1e-12 * (1 + ref)
-    assert abs(ell.a2_checkpoint(x, w) - ref) < 1e-10
+    for x, w in ((0.2, 1e-6), (0.1, 0.2)):  # K/Pi below reuses the last ref
+        ref = ell.a2_quadrature(x, w)
+        assert abs(ell.a2_closed(x, w) - ref) <= 1e-12 * (1 + ref)
+        assert abs(ell.a2_checkpoint(x, w) - ref) < 1e-10
     val, _, terms = ell.a2_pi_combination(x, w)
     assert abs(val - ref) < 1e-8
     assert len(terms) <= 4 and all(abs(lam) < 1 for _, lam in terms)
@@ -448,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--R-odd", dest="R_odd", type=int, default=None)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
-    p.add_argument("--pairs", type=str, default=None,
+    p.add_argument("--pairs", type=_pairs, default=None,
                    help="comma list of n:k pairs for --mode ratio")
     common(p)
     p.set_defaults(func=_cmd_bounds)
@@ -460,6 +450,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_polya)
 
     return parser
+
+
+def _pairs(text: str) -> list[tuple[int, int]]:
+    """--pairs "n:k,n:k,..."; a malformed list is a usage error."""
+    if not re.fullmatch(r"\d+:\d+(,\d+:\d+)*", text):
+        raise argparse.ArgumentTypeError(f"expected comma-separated n:k pairs, got {text!r}")
+    return [tuple(map(int, chunk.split(":"))) for chunk in text.split(",")]
 
 
 def _validate_bounds_args(args, parser: _Parser) -> None:

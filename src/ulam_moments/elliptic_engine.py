@@ -19,8 +19,9 @@ A2 has four independent evaluators:
   cut integral over the four real roots of Q1 to one R_F and four R_J, in
   O(1) with no quadrature;
 - a2_quadrature (reference): Gauss-Legendre on the interval, endpoint
-  singularities absorbed, nodes doubled from 200 to 6400 until 1e-12;
-- a2_checkpoint: the same integral on the Moebius-transformed interval;
+  singularities absorbed, each half sinh-mapped from its end onto one fixed
+  pair of rules (48 and 64 nodes) that must agree to 1e-12;
+- a2_checkpoint: the same on the Moebius-transformed interval;
 - a2_pi_combination (the headline identity): the reduction to Legendre
   normal form and an exact combination of complete integrals K and Pi.
 
@@ -47,6 +48,13 @@ X_MAX = 0.24
 def _check_x(x: float) -> None:
     if not 0 < x <= X_MAX:
         raise ValueError(f"x must lie in (0, {X_MAX}], got x={x}")
+
+
+def _check_xw(x: float, w: float) -> None:
+    """The domain of alpha and of every A1 and A2 route."""
+    _check_x(x)
+    if not (w >= 0 and 4 * x + w * w < 1):
+        raise ValueError(f"need w >= 0 and 4x + w^2 < 1, got x={x}, w={w}")
 
 
 def q1_eval(x: float, xi: complex) -> complex:
@@ -109,6 +117,34 @@ def _root_gaps(
     return gb2 * c1 * a1, gb1 * c2 * a2, gb1, gb2
 
 
+def _d_gap(x: float) -> float:
+    """d2 - d1 without cancellation; c2 - c1 = c1 c2 (d2 - d1)."""
+    return 2 + 4 / (sqrt(1 + 4 * x) + sqrt(1 - 4 * x))
+
+
+def _q2_poles(x: float, w: float) -> list[tuple[float, float, float, float]]:
+    """(rho, c1 - rho, c2 - rho, res_rho) for the four Q2 roots, where
+    res_rho = w^2 rho^2 / (x^2 prod_{sigma != rho} (rho - sigma)) is the
+    residue of Q1/Q2 at rho. The short distances come from _root_gaps, so
+    poles next to the cut (small w) keep their digits. Needs w > 0."""
+    c1, c2, _, _ = q1 = q1_roots(x).roots
+    a1, a2, b1, b2 = q2 = q2_roots(x, w).roots
+    g1, g2, gb1, gb2 = _root_gaps(x, w, q1, q2)
+    dd = _d_gap(x)
+    delta = c1 * c2 * dd
+    aa = g1 + delta + g2  # a2 - a1
+    bb = gb1 + dd + gb2  # b2 - b1
+    return [
+        (rho, e1, e2, w * w * rho * rho / (x * x * prod))
+        for rho, e1, e2, prod in (
+            (a1, g1, delta + g1, -aa * (a1 - b1) * (a1 - b2)),
+            (a2, -(delta + g2), -g2, aa * (a2 - b1) * (a2 - b2)),
+            (b1, c1 - b1, c2 - b1, -(b1 - a1) * (b1 - a2) * bb),
+            (b2, c1 - b2, c2 - b2, (b2 - a1) * (b2 - a2) * bb),
+        )
+    ]
+
+
 def g_tilde(x: float, xi: complex) -> complex:
     """The algebraic square root of Q1 fixed by its branch data:
 
@@ -140,7 +176,7 @@ def a1_residue(x: float, w: float) -> float:
 
     g(a1) = -w*a1, so a1 is not a pole of the deformed integrand; the
     residue term is the single contribution 1/(g'(a2) - w)."""
-    _check_x(x)
+    _check_xw(x, w)
     if w == 0:
         return 0.0
     a2 = q2_roots(x, w).roots[1]
@@ -150,7 +186,7 @@ def a1_residue(x: float, w: float) -> float:
 
 def a1_closed(x: float, w: float) -> float:
     """A1 in explicit root-product form: 2*w*a2 / Q2'(a2)."""
-    _check_x(x)
+    _check_xw(x, w)
     if w == 0:
         return 0.0
     a1, a2, b1, b2 = q2_roots(x, w).roots
@@ -159,7 +195,7 @@ def a1_closed(x: float, w: float) -> float:
 
 def a1_reduced(x: float, w: float) -> float:
     """A1 with the outer roots eliminated via b1 = 1/a2, b2 = 1/a1."""
-    _check_x(x)
+    _check_xw(x, w)
     if w == 0:
         return 0.0
     a1, a2, _, _ = q2_roots(x, w).roots
@@ -169,68 +205,72 @@ def a1_reduced(x: float, w: float) -> float:
     )
 
 
-_GL_MAX_NODES = 6400
+# Two fixed Gauss-Legendre rule sizes; their disagreement is the error check.
+_GL_SIZES = (48, 64)
 _GL_TOL = 1e-12
+_EPS_MIN = 1e-14
 
 
 @lru_cache(maxsize=None)
-def _gl_theta(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped to theta in (0, pi/2)."""
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    return (nodes + 1) * (pi / 4), wts * (pi / 4)
+def _gl_pair(sizes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of both rules on (0, 1), concatenated, and a 2-row weight
+    matrix: row i holds rule i's weights and zeros on the other's nodes."""
+    (t0, w0), (t1, w1) = (np.polynomial.legendre.leggauss(n) for n in sizes)
+    wts = np.block([[w0, np.zeros_like(w1)], [np.zeros_like(w0), w1]]) / 2
+    return (np.concatenate((t0, t1)) + 1) / 2, wts
 
 
-def _gl_doubling(
-    integrand: Callable[[np.ndarray], np.ndarray], scale: float, failure: str
-) -> float:
-    """scale * the _gl_theta rule applied to integrand(theta) on (0, pi/2),
-    doubling from 200 nodes until two levels agree to _GL_TOL; raises
-    ArithmeticError(failure) once the next level would pass _GL_MAX_NODES."""
-    prev = None
-    n = 200
-    while n <= _GL_MAX_NODES:
-        th, wth = _gl_theta(n)
-        cur = scale * float(integrand(th) @ wth)
-        if prev is not None and abs(cur - prev) <= _GL_TOL * (1 + abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    raise ArithmeticError(failure)
+def _end_mapped(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                eps_lo: float, eps_hi: float, scale: float, failure: str) -> float:
+    """scale * int_0^{pi/2} integrand(sin^2 theta, cos^2 theta) dtheta.
+
+    A pole at theta-distance eps beyond an end puts a peak of width eps
+    there. Each half of (0, pi/2) is mapped from its end by theta = eps sinh(v)
+    (P. R. Johnston and D. Elliott, Int. J. Numer. Meth. Engng 62, 2005), which
+    spreads the peak over O(1) in v, so one fixed rule pair serves every eps.
+    eps = 0 (no pole) maps with 1; eps floors at _EPS_MIN, as narrower peaks
+    hold a relative mass O(eps) below the tolerance. ArithmeticError(failure)
+    unless both rules agree to _GL_TOL (1 + |value|)."""
+    t, wts = _gl_pair(_GL_SIZES)
+    eps = np.array([[eps_lo], [eps_hi]])
+    eps = np.where(eps > 0, np.maximum(eps, _EPS_MIN), 1.0)
+    top = np.arcsinh(pi / (4 * eps))
+    # theta on the lower half, pi/2 - theta on the upper: the distance to the
+    # nearer end, so that sin^2 and cos^2 keep their digits there
+    dist = eps * np.sinh(top * t)
+    s2, c2 = np.sin(dist) ** 2, np.cos(dist) ** 2
+    f = integrand(np.stack((s2[0], c2[1])), np.stack((c2[0], s2[1])))
+    coarse, fine = scale * (f * (eps * top) * np.cosh(top * t)).sum(axis=0) @ wts.T
+    gap = abs(fine - coarse)
+    if not gap <= _GL_TOL * (1 + abs(fine)):
+        raise ArithmeticError(f"{failure}: rules of {_GL_SIZES} nodes differ by {gap:.2e}")
+    return float(fine)
 
 
 def a2_quadrature(x: float, w: float) -> float:
     """Reference evaluator: A2 = (1/pi) * int_{c1}^{c2} sqrt(-Q1)/(-Q2) dr.
 
     The substitution r = c1 + (c2 - c1) sin^2(theta) absorbs both inverse
-    square-root endpoint singularities, leaving a smooth integrand for
-    Gauss-Legendre (_gl_doubling)."""
-    _check_x(x)
-    c1, c2, d1, d2 = q1_roots(x).roots
-    a1, a2, b1, b2 = q2_roots(x, w).roots
-    delta = c2 - c1
-    # Distances from r to the nearby Q2 roots, assembled as sums of
-    # nonnegative pieces: near the interval ends delta*sin^2 collapses and
-    # the naive r - a1 would be pure cancellation.
-    gap1 = c1 - a1
-    gap2 = a2 - c2
+    square-root endpoint singularities. The poles a1 and a2 sit O(w^2)
+    beyond the cut ends, so their peaks have theta-width
+    eps = sqrt((c1 - a1)/(c2 - c1)) and its twin, which _end_mapped
+    resolves."""
+    _check_xw(x, w)
+    c1, c2, d1, d2 = q1 = q1_roots(x).roots
+    _, _, b1, b2 = q2 = q2_roots(x, w).roots
+    delta = c1 * c2 * _d_gap(x)
+    # c1 - a1 and a2 - c2 in cancellation-free form: the naive differences
+    # keep no digits at w near 1e-8.
+    gap1, gap2, _, _ = _root_gaps(x, w, q1, q2)
 
-    def integrand(th: np.ndarray) -> np.ndarray:
-        st2 = np.sin(th) ** 2
-        ct2 = np.cos(th) ** 2
+    def integrand(st2: np.ndarray, ct2: np.ndarray) -> np.ndarray:
         r = c1 + delta * st2
-        mq2 = x * x * (delta * st2 + gap1) * (gap2 + delta * ct2) \
-            * (b1 - r) * (b2 - r)
-        return (
-            (2 * x * delta**2 / pi)
-            * st2
-            * ct2
-            * np.sqrt((d1 - r) * (d2 - r))
-            / mq2
-        )
+        mq2 = x * (delta * st2 + gap1) * (gap2 + delta * ct2) * (b1 - r) * (b2 - r)
+        return (2 * delta**2 / pi) * st2 * ct2 * np.sqrt((d1 - r) * (d2 - r)) / mq2
 
-    return _gl_doubling(
-        integrand, 1.0,
-        f"A2 quadrature did not converge within {_GL_MAX_NODES} nodes at (x={x}, w={w})",
+    return _end_mapped(
+        integrand, sqrt(gap1 / delta), sqrt(gap2 / delta), 1.0,
+        f"A2 quadrature did not converge at (x={x}, w={w})",
     )
 
 
@@ -240,36 +280,35 @@ def a2_checkpoint(x: float, w: float) -> float:
         A2 = (2 / (pi sqrt(1+4x))) * int_{-u1}^{-u2} (Q1/Q2)(z(s)) ds /
              sqrt((u1^2 - s^2)(u2^2 - s^2)) * smooth rest,
 
-    with u1 = 1/sqrt(1+4x), u2 = sqrt(1-4x), z(s) = (1+s)/(1-s)."""
-    _check_x(x)
-    if not 0 <= w <= sqrt(1 - 4 * x):
-        raise ValueError(f"w must lie in [0, sqrt(1-4x)], got w={w}, x={x}")
+    with u1 = 1/sqrt(1+4x), u2 = sqrt(1-4x), z(s) = (1+s)/(1-s). The poles
+    a1 and a2 map to 2(c1 - a1)/((c1+1)(a1+1)) below -u1 and its twin above
+    -u2, which set the peak widths for _end_mapped."""
+    _check_xw(x, w)
     u1 = 1 / sqrt(1 + 4 * x)
     u2 = sqrt(1 - 4 * x)
-    _, _, d1, d2 = q1_roots(x).roots
+    c1, c2, d1, d2 = q1 = q1_roots(x).roots
+    a1, a2, _, _ = q2 = q2_roots(x, w).roots
+    gap1, gap2, _, _ = _root_gaps(x, w, q1, q2)
     lo, hi = -u1, -u2
-    width = hi - lo
+    width = 16 * x * x * u1 / (1 + sqrt(1 - 16 * x * x))  # u1 - u2 without cancellation
 
-    def integrand(th: np.ndarray) -> np.ndarray:
-        st2 = np.sin(th) ** 2
+    def integrand(st2: np.ndarray, ct2: np.ndarray) -> np.ndarray:
         s = lo + width * st2
         z = (1 + s) / (1 - s)
         # -Q1(z) in product form, with the endpoint factors z - c1 and
         # c2 - z written through s - lo and hi - s (exact by construction):
         # z - c1 = 2 (s - lo) / ((1 - s)(1 - lo)), and likewise at c2.
-        mq1 = (
-            x * x
-            * (2 * width * st2 / ((1 - s) * (1 - lo)))
-            * (2 * width * np.cos(th) ** 2 / ((1 - s) * (1 - hi)))
-            * (d1 - z)
-            * (d2 - z)
-        )
+        mq1 = (x * x * (2 * width * st2 / ((1 - s) * (1 - lo)))
+               * (2 * width * ct2 / ((1 - s) * (1 - hi))) * (d1 - z) * (d2 - z))
         mq2 = mq1 + (w * z) ** 2
         smooth = np.sqrt((u1 - s) * (u2 - s))
         return 2.0 * (mq1 / mq2) / smooth  # ds/sqrt((s-lo)(hi-s)) = 2 dth
 
-    return _gl_doubling(
-        integrand, 2 / (pi * sqrt(1 + 4 * x)),
+    return _end_mapped(
+        integrand,
+        sqrt(2 * gap1 / ((c1 + 1) * (a1 + 1) * width)),
+        sqrt(2 * gap2 / ((c2 + 1) * (a2 + 1) * width)),
+        2 / (pi * sqrt(1 + 4 * x)),
         f"checkpoint quadrature did not converge at (x={x}, w={w})",
     )
 
@@ -365,35 +404,17 @@ def a2_closed(x: float, w: float) -> float:
     small x keep their digits. Near the singular curve the a2 and b1 terms
     grow like (1 - 4x - w^2)^(-1/2) and cancel, which costs digits in
     proportion."""
-    _check_x(x)
-    if not 0 <= w or w * w >= 1 - 4 * x:
-        raise ValueError(f"a2_closed needs w >= 0 and 4x + w^2 < 1, got x={x}, w={w}")
-    q1 = q1_roots(x).roots
-    c1, c2, d1, d2 = q1
-    dd = 2 + 4 / (sqrt(1 + 4 * x) + sqrt(1 - 4 * x))  # d2 - d1
-    delta = c1 * c2 * dd
+    _check_xw(x, w)
+    c1, c2, d1, d2 = q1_roots(x).roots
+    delta = c1 * c2 * _d_gap(x)
     u = (d1 - c1) * (d2 - c2)
     v = (d2 - c1) * (d1 - c2)
     S = (d1 - c2) * (d2 - c2)
     i0 = 2 * carlson_rf0(u, v)
     total = i0
-    w2 = w * w
-    if w2 > 0:
-        q2 = q2_roots(x, w).roots
-        a1, a2, b1, b2 = q2
-        g1, g2, gb1, gb2 = _root_gaps(x, w, q1, q2)
-        aa = g1 + delta + g2  # a2 - a1
-        bb = gb1 + dd + gb2  # b2 - b1
-        # (rho, c1 - rho, c2 - rho, prod over the other roots of rho - sigma)
-        poles = (
-            (a1, g1, delta + g1, -aa * (a1 - b1) * (a1 - b2)),
-            (a2, -(delta + g2), -g2, aa * (a2 - b1) * (a2 - b2)),
-            (b1, c1 - b1, c2 - b1, -(b1 - a1) * (b1 - a2) * bb),
-            (b2, c1 - b2, c2 - b2, (b2 - a1) * (b2 - a2) * bb),
-        )
+    if w > 0:
         k3 = 2 * delta * S / 3
-        for rho, e1, e2, prod in poles:
-            res = w2 * rho * rho / (x * x * prod)
+        for _, e1, e2, res in _q2_poles(x, w):
             # res / e2 and R_J / e2 stay O(1) as w -> 0, where e2 = c2 - a2 -> 0
             total += res / e2 * (i0 + k3 * (carlson_rj0(u, v, S * e1 / e2) / e2))
     return total / (pi * x)
@@ -402,11 +423,7 @@ def a2_closed(x: float, w: float) -> float:
 def alpha_closed(w: float, x: float) -> float:
     """alpha(w, x) = A1 + A2 via the residue term and the closed-form cut
     integral."""
-    if w < 0:
-        raise ValueError(f"alpha_closed needs w >= 0, got w={w}")
-    _check_x(x)
-    if w * w >= 1 - 4 * x:
-        raise ValueError(f"alpha singular at w^2 >= 1 - 4x: w={w}, x={x}")
+    _check_xw(x, w)
     return a1_closed(x, w) + a2_closed(x, w)
 
 
@@ -517,11 +534,9 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
     whose modulus u2/u1 equals ktil = sqrt(1 - 16 x^2). Rescaling by -1/u2
     and applying the root-cycling map for ktil then lands the roots on
     (-1, 1, 1/k, -1/k) with final modulus k = J(ktil)."""
-    _check_x(x)
+    _check_xw(x, w)
     if w <= 0:
         raise ValueError(f"legendre_reduce needs w > 0, got w={w}")
-    if 4 * x + w * w >= 1:
-        raise ValueError(f"legendre_reduce needs 4x + w^2 < 1, got x={x}, w={w}")
     c1, c2, d1, d2 = q1_roots(x).roots
     u2 = sqrt(1 - 4 * x)
     ktil = sqrt(1 - 16 * x * x)
@@ -552,48 +567,31 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
     raw_terms: list[tuple[float, float]] = []
     pf_terms: list[tuple[float, float]] = []
     pf_n1: list[float] = []
-    roots2 = q2_roots(x, w).roots
-    g1, g2, _, _ = _root_gaps(x, w, (c1, c2, d1, d2), roots2)
     # The inner poles sit O(w^2) from the cut ends, so their images are
     # anchored on the exact targets t = -1 and 1 of c1 and c2:
     # sigma = t + delta, delta = det (rho - c) / ((C rho + D)(C c + D)), and
     # sigma^2 - 1 = delta (delta + 2t) keeps its digits where sigma rounds to t.
-    anchors = {0: (c1, -1.0, -g1), 1: (c2, 1.0, g2)}
-    for i, rho in enumerate(roots2):
-        res = w * w * rho * rho / (x * x)
-        for sg in roots2:
-            if sg != rho:
-                res /= rho - sg
+    for i, (rho, e1, e2, res) in enumerate(_q2_poles(x, w)):
         raw_terms.append((rho, res))
-        if i in anchors:
-            c, t, gap = anchors[i]
-            delta = det * gap / ((mc * rho + md) * (mc * c + md))
+        if i < 2:  # a1 and a2, with rho - c = -e1 and -e2
+            c, t, e = ((c1, -1.0, e1), (c2, 1.0, e2))[i]
+            delta = -det * e / ((mc * rho + md) * (mc * c + md))
             sigma, n1 = t + delta, delta * (delta + 2 * t)
         else:
             sigma = _phi_apply(m, rho)
             n1 = (sigma - 1) * (sigma + 1)
         if not n1 > 0:  # delta t > 0 for the anchored images, else |sigma| > 1
-            raise ArithmeticError(
-                f"pole image {sigma} inside [-1, 1] at (x={x}, w={w})"
-            )
+            raise ArithmeticError(f"pole image {sigma} inside [-1, 1] at (x={x}, w={w})")
         pf_terms.append((sigma, res * det / (mc * rho + md) ** 2))
         pf_n1.append(n1 / (sigma * sigma))
 
     return EllipticReduction(
-        moebius=m,
-        modulus_k=k2,
-        xi_constant=xi_constant,
-        pf_constant=1.0,
-        pf_terms=pf_terms,
-        raw_pf_terms=raw_terms,
-        det=det,
-        pf_n1=pf_n1,
+        moebius=m, modulus_k=k2, xi_constant=xi_constant, pf_constant=1.0,
+        pf_terms=pf_terms, raw_pf_terms=raw_terms, det=det, pf_n1=pf_n1,
     )
 
 
-def a2_pi_combination(
-    x: float, w: float
-) -> tuple[float, float, list[tuple[float, float]]]:
+def a2_pi_combination(x: float, w: float) -> tuple[float, float, list[tuple[float, float]]]:
     """A2 as a finite combination of complete elliptic integrals.
 
     Through the reduction, each transported pole sigma contributes

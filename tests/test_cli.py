@@ -146,6 +146,21 @@ def test_elliptic_domain_error() -> None:
     assert "error" in res.stderr
 
 
+@pytest.mark.parametrize("w", ["1e-6", "1e-8"])
+def test_elliptic_small_w(w: str) -> None:
+    """Poles O(w^2) beyond the cut ends: every route, the two quadratures
+    included, within 1e-12 (1 + A2) of the reference, from a cold start."""
+    t0 = time.perf_counter()
+    res = run_cli("elliptic", "--x", "0.2", "--w", w)
+    elapsed = time.perf_counter() - t0
+    assert res.returncode == 0, res.stderr
+    _, rows = parse_csv(res.stdout)
+    assert [r[5] for r in rows] == ["closed", "checkpoint", "pi_combination"]
+    for row in rows:
+        assert float(row[6]) <= 1e-12 * (1 + float(row[3]))
+    assert elapsed < 2.0
+
+
 def test_elliptic_dump_reduction_json() -> None:
     res = run_cli("elliptic", "--x", "0.1", "--w", "0.2", "--dump-reduction")
     assert res.returncode == 0
@@ -157,8 +172,8 @@ def test_elliptic_dump_reduction_json() -> None:
 
 
 def test_elliptic_dump_reduction_skips_the_a2_routes() -> None:
-    """At w = 1e-8 the doubling A2 quadrature runs for about 30 s and then
-    raises; the dump needs only legendre_reduce, which succeeds there."""
+    """The dump needs only legendre_reduce, so it runs none of the A2
+    routes and stays fast at w = 1e-8."""
     t0 = time.perf_counter()
     res = run_cli("elliptic", "--x", "0.2", "--w", "1e-8", "--dump-reduction")
     elapsed = time.perf_counter() - t0
@@ -192,6 +207,13 @@ def test_bounds_ratio_pairs() -> None:
     _, rows = parse_csv(res.stdout)
     assert float(rows[0][2]) == pytest.approx(67 / 54, rel=1e-15)
     assert float(rows[1][2]) == 1.0
+
+
+@pytest.mark.parametrize("pairs", ["5", "5:2:1", "a:b", "10:3,"])
+def test_bounds_ratio_malformed_pairs_is_usage_error(pairs: str) -> None:
+    res = run_cli("bounds", "--mode", "ratio", "--pairs", pairs)
+    assert res.returncode == 64
+    assert "--pairs" in res.stderr
 
 
 def test_bounds_stirling_row() -> None:

@@ -237,6 +237,19 @@ def test_a2_closed_against_mpmath(x: float, w: float, tol: float) -> None:
     assert abs(ee.a2_closed(x, w) - ref) <= tol * (1 + ref)
 
 
+@pytest.mark.parametrize(
+    "route",
+    [ee.a1_residue, ee.a1_closed, ee.a1_reduced, ee.a2_quadrature, ee.a2_checkpoint,
+     ee.a2_closed, lambda x, w: ee.alpha_closed(w, x), ee.legendre_reduce,
+     ee.a2_pi_combination],
+)
+def test_routes_refuse_the_singular_curve(route) -> None:
+    """alpha diverges on the curve 4x + w^2 = 1: every route raises there
+    instead of returning a huge number."""
+    with pytest.raises(ValueError):
+        route(0.1, sqrt(0.6))
+
+
 def test_a2_closed_guards() -> None:
     with pytest.raises(ValueError):
         ee.a2_closed(0.0, 0.1)
@@ -246,11 +259,55 @@ def test_a2_closed_guards() -> None:
         ee.a2_closed(0.1, sqrt(1 - 0.4))  # on the singular curve
 
 
-def test_closed_routes_use_no_gauss_legendre(monkeypatch) -> None:
-    def refuse(n: int):
-        raise AssertionError(f"Gauss-Legendre rule with {n} nodes requested")
+ALL_POINTS = GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS
 
-    monkeypatch.setattr(ee, "_gl_theta", refuse)
+
+@pytest.mark.parametrize("x,w", ALL_POINTS)
+def test_a2_quadratures_against_mpmath(x: float, w: float) -> None:
+    """Both quadrature routes on the fixed end-mapped rule pair, on every
+    point of the closed form's check. Worst measured: 5.7e-15 for
+    a2_quadrature and 1.5e-14 for a2_checkpoint, relative to 1 + A2."""
+    ref = _a2_mpmath(x, w)
+    assert abs(ee.a2_quadrature(x, w) - ref) <= 1e-13 * (1 + ref)
+    assert abs(ee.a2_checkpoint(x, w) - ref) <= 1e-13 * (1 + ref)
+
+
+@pytest.mark.parametrize("x", [0.001, 0.1, 0.24])
+@pytest.mark.parametrize("w", [1e-20, 1e-60, 1e-150])
+def test_quadratures_at_vanishing_w(x: float, w: float) -> None:
+    """Peaks far narrower than the map's floor _EPS_MIN hold a relative mass
+    of order w, so both routes must return A2 at w = 0. Worst measured:
+    1.1e-14 relative to 1 + A2."""
+    want = ee.a2_closed(x, 0.0)
+    assert abs(ee.a2_quadrature(x, w) - want) <= 5e-14 * (1 + want)
+    assert abs(ee.a2_checkpoint(x, w) - want) <= 5e-14 * (1 + want)
+
+
+def test_quadratures_build_only_the_fixed_rule_pair(monkeypatch) -> None:
+    """No node doubling: over a peak-free point, a point with poles about
+    1e-16 beyond the cut ends and w = 0, leggauss runs once per size of the
+    pair."""
+    sizes: list[int] = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def record(n: int):
+        sizes.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", record)
+    ee._gl_pair.cache_clear()
+    for x, w in ((0.1, 0.2), (0.2, 1e-8), (0.05, 0.0)):
+        assert ee.a2_quadrature(x, w) > 0
+        assert ee.a2_checkpoint(x, w) > 0
+    assert sorted(sizes) == sorted(ee._GL_SIZES)
+    ee._gl_pair.cache_clear()
+
+
+def test_closed_routes_use_no_gauss_legendre(monkeypatch) -> None:
+    def refuse(sizes: tuple[int, int]):
+        raise AssertionError(f"Gauss-Legendre rules {sizes} requested")
+
+    monkeypatch.setattr(ee, "_gl_pair", refuse)
     assert ee.alpha_closed(0.3, 0.1) > 0
     assert ee.elliptic_Pi(0.5, 0.9) > 0
     assert ee.a2_pi_combination(0.1, 0.3)[0] > 0
@@ -265,8 +322,8 @@ def test_a2_quadrature_guards(monkeypatch) -> None:
         ee.a2_quadrature(0.3, 0.1)
     with pytest.raises(ValueError):
         ee.a2_checkpoint(0.1, 0.9)
-    monkeypatch.setattr(ee, "_GL_MAX_NODES", 100)
-    with pytest.raises(ArithmeticError, match="A2 quadrature did not converge within 100 nodes"):
+    monkeypatch.setattr(ee, "_GL_SIZES", (3, 4))  # too small to agree
+    with pytest.raises(ArithmeticError, match="A2 quadrature did not converge"):
         ee.a2_quadrature(0.1, 0.1)
     with pytest.raises(ArithmeticError, match="checkpoint quadrature did not converge"):
         ee.a2_checkpoint(0.1, 0.1)
@@ -597,10 +654,8 @@ def test_pi_combination_matches_quadrature(x: float, w: float) -> None:
 
 
 def test_pi_combination_small_w() -> None:
-    """K/Pi at small w, where Pi's node doubling once reached leggauss(6400)
-    and failed: within 1e-10 of A2, all twelve points in under a second.
-    The 30-digit oracle stands in for a2_quadrature, which needs 3200 to
-    6400 nodes at w = 1e-5 and seconds per point to build them."""
+    """K/Pi at small w: within 1e-10 of A2 by the 30-digit oracle, all
+    twelve points in under a second."""
     spent = 0.0
     for x, w in PI_SMALL_W_POINTS:
         start = time.perf_counter()
