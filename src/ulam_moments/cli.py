@@ -238,10 +238,10 @@ def _check_walk_array() -> None:
 
 def _check_walk_mc() -> None:
     many = 2 * walk_lab._MC_CHUNK + 5  # three chunks, so the thread pool runs
-    one = walk_lab.a_monte_carlo(2, 1, many, 7)
-    assert one == walk_lab.a_monte_carlo(2, 1, many, 7)
-    par = walk_lab.a_monte_carlo(2, 1, many, 7, workers=3)
-    assert one == par
+    for N in (2, 5):  # the one-block kernel and the popcount-and-walk kernel
+        one = walk_lab.a_monte_carlo(N, 1, many, 7)
+        assert one == walk_lab.a_monte_carlo(N, 1, many, 7)
+        assert one == walk_lab.a_monte_carlo(N, 1, many, 7, workers=3)
     assert abs(walk_lab.polya_series(0.4, 300) - (2 / math.pi) * ell.elliptic_K(0.4)) < 1e-10
 
 

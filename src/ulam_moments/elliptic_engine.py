@@ -117,6 +117,20 @@ def _root_gaps(
     return gb2 * c1 * a1, gb1 * c2 * a2, gb1, gb2
 
 
+def _check_w_floor(x: float, w: float, *shrinking: float) -> None:
+    """ArithmeticError unless w^2, the gaps of _root_gaps and the residue
+    numerators w^2 rho^2 that a route uses are all at least 2^-1000.
+
+    Floats keep 53 bits from 2^-1022 up and overflow at 2^1024. For x >= 2^-11
+    every other factor of the routes (roots, their distances, S, residue
+    denominators) lies within 2^+-22 of 1, and the largest quotient, the R_J
+    argument p = S (delta + g2) / g2 < 4 / g2 of a2_closed, meets at most
+    4 sqrt(u) p < 16 / (x g2) in R_J: the floor leaves 2^22 on both sides.
+    Below it, wrong values and NaN came out from about w = 1e-152."""
+    if min(shrinking) < 2.0**-1000:
+        raise ArithmeticError(f"w too small for float range at (x={x}, w={w})")
+
+
 def _d_gap(x: float) -> float:
     """d2 - d1 without cancellation; c2 - c1 = c1 c2 (d2 - d1)."""
     return 2 + 4 / (sqrt(1 + 4 * x) + sqrt(1 - 4 * x))
@@ -130,6 +144,7 @@ def _q2_poles(x: float, w: float) -> list[tuple[float, float, float, float]]:
     c1, c2, _, _ = q1 = q1_roots(x).roots
     a1, a2, b1, b2 = q2 = q2_roots(x, w).roots
     g1, g2, gb1, gb2 = _root_gaps(x, w, q1, q2)
+    _check_w_floor(x, w, w * w, g1, g2, w * w * a1 * a1)  # a1 is the smallest root
     dd = _d_gap(x)
     delta = c1 * c2 * dd
     aa = g1 + delta + g2  # a2 - a1
@@ -163,25 +178,23 @@ def g_tilde(x: float, xi: complex) -> complex:
     )
 
 
-def _log_deriv_factor(x: float, xi: float) -> float:
-    """L(xi) = g'(xi)/g(xi) as a sum of half poles."""
-    c1, c2, d1, d2 = q1_roots(x).roots
-    return 0.5 * (
-        1 / (xi - c1) + 1 / (xi - c2) - 1 / (d1 - xi) - 1 / (d2 - xi)
-    )
-
-
 def a1_residue(x: float, w: float) -> float:
     """A1 as the residue of 1/(g(xi) - w*xi) at xi = a2.
 
     g(a1) = -w*a1, so a1 is not a pole of the deformed integrand; the
-    residue term is the single contribution 1/(g'(a2) - w)."""
+    residue term is the single contribution 1/(g'(a2) - w), with g'/g the
+    sum of half poles (1/(xi-c1) + 1/(xi-c2) - 1/(d1-xi) - 1/(d2-xi)) / 2.
+    The O(w^2) distance a2 - c2 = g2 comes from _root_gaps, and
+    a2 - c1 = delta + g2: the naive differences keep no digits near w = 1e-8."""
     _check_xw(x, w)
     if w == 0:
         return 0.0
-    a2 = q2_roots(x, w).roots[1]
-    gp = (w * a2) * _log_deriv_factor(x, a2)  # g(a2) = +w*a2
-    return 1 / (gp - w)
+    c1, c2, d1, d2 = q1 = q1_roots(x).roots
+    _, a2, _, _ = q2 = q2_roots(x, w).roots
+    g2 = _root_gaps(x, w, q1, q2)[1]
+    _check_w_floor(x, w, w * w, g2)
+    half_poles = 1 / (c1 * c2 * _d_gap(x) + g2) + 1 / g2 - 1 / (d1 - a2) - 1 / (d2 - a2)
+    return 1 / (w * a2 * half_poles / 2 - w)  # g(a2) = +w*a2
 
 
 def a1_closed(x: float, w: float) -> float:

@@ -13,9 +13,10 @@ integer sum of Q*R over all paths. This module counts it with a
 transfer-matrix DP over (U, number of vertical steps, tau) in O(N^4) exact
 integer updates, never listing the paths themselves. A counter-based
 generator drives the Monte Carlo mode so the sample stream is a pure function
-of (seed, sample index), independent of chunking and worker count. Its kernel
-decides R_N by popcounts in the rotated coordinates X = U + V, Y = U - V, and
-walks only the returning samples, about 1/(pi N) of them, to find tau.
+of (seed, sample index), independent of chunking and worker count. A walk of
+2N <= 8 steps takes one lookup per sample in a table of R_N and tau; a longer
+one is decided by popcounts in the rotated coordinates X = U + V, Y = U - V,
+and only the returning samples, about 1/(pi N) of them, are walked for tau.
 """
 from __future__ import annotations
 
@@ -35,8 +36,8 @@ UNIT_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 _MC_CHUNK = 1 << 16
 # Samples walked together: arrays this small stay in cache and in the heap
 _MC_TILE = 1 << 13
-# Step of U for each 2-bit digit of a generator word (UNIT_STEPS order)
-_DU = np.array([s[0] for s in UNIT_STEPS], dtype=np.int8)
+# Steps of U and V for each 2-bit digit of a generator word (UNIT_STEPS order)
+_DU, _DV = (np.array([s[i] for s in UNIT_STEPS], dtype=np.int8) for i in (0, 1))
 # A block of L steps is the low 2L bits of a word, with table code
 # _BLOCK_OFFSET[L] + bits; from |U| >= _HIT_REACH it cannot reach U = 0
 _BLOCK_OFFSET = {2: 0, 4: 16, 6: 272, 8: 4368}
@@ -175,24 +176,29 @@ def x_marginal_probability(N: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _block_tables() -> tuple[np.ndarray, np.ndarray]:
+def _block_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only int8 tables of the Monte Carlo kernel: du[code] moves U over
-    a block, and hits[r, code] counts its steps that end on U = 0 from the
-    start U = r - 9 (rows 0 and 18 stand for |U| >= 9: zero)."""
+    a block, hits[r, code] counts its steps that end on U = 0 from the start
+    U = r - 9 (rows 0 and 18 stand for |U| >= 9: zero), and loop_tau[code]
+    is 1 + hits[9, code] if the block walks from (0, 0) back to (0, 0), else
+    0."""
     du = np.zeros(_BLOCK_CODES, dtype=np.int8)
+    dv = np.zeros(_BLOCK_CODES, dtype=np.int8)
     hits = np.zeros((2 * _HIT_REACH + 1, _BLOCK_CODES), dtype=np.int8)
     for L, off in _BLOCK_OFFSET.items():
         seg = slice(off, off + 4**L)
         bits = np.arange(4**L, dtype=np.uint16)
         steps = [_DU[(bits >> 2 * t) & 3] for t in range(L)]
         du[seg] = sum(steps)
+        dv[seg] = sum(_DV[(bits >> 2 * t) & 3] for t in range(L))
         for r in range(1, 2 * _HIT_REACH):
             u = np.full(bits.size, r - _HIT_REACH, dtype=np.int8)
             for step in steps:
                 u += step
                 hits[r, seg] += u == 0
-    du.flags.writeable = hits.flags.writeable = False
-    return du, hits
+    loop_tau = np.where((du == 0) & (dv == 0), hits[_HIT_REACH] + 1, 0).astype(np.int8)
+    du.flags.writeable = hits.flags.writeable = loop_tau.flags.writeable = False
+    return du, hits, loop_tau
 
 
 def _returned(words: np.ndarray, N: int) -> np.ndarray:
@@ -216,15 +222,18 @@ def _mc_chunk(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     Sample s reads its 2N steps from words s*W .. s*W + W - 1 of the counter
     stream (W = ceil(2N / 32)), two bits per step from the low bits up. Word c
     is splitmix64 of the state seed + (c+1)*golden mod 2^64, so in a tile the
-    states of word w step by W*golden from one base. _returned keeps the
-    samples whose X = U + V and Y = U - V both end at 0, by popcount, and only
-    those are walked, 8 steps (or 2, 4, 6 at the end) per lookup: hits, at the
-    block's start U clipped to [-9, 9], counts its visits to U = 0.
+    states of word w step by W*golden from one base. If 2N <= 8, the walk is
+    one block and loop_tau gives each sample's bin (0 if it does not return).
+    Else _returned keeps the samples whose X = U + V and Y = U - V both end at
+    0, by popcount, and only those are walked, 8 steps (or 2, 4, 6 at the
+    end) per lookup: hits, at the block's start U clipped to [-9, 9], counts
+    its visits to U = 0.
     """
-    du, hits = _block_tables()
+    du, hits, loop_tau = _block_tables()
     hits = hits.reshape(-1)  # row r, code c at r * _BLOCK_CODES + c
     two_n = 2 * N
     words_per = (two_n + 31) // 32
+    hist = np.zeros(two_n + 2, dtype=np.int64)
     picked = []
     with np.errstate(over="ignore"):
         ramp = np.arange(min(_MC_TILE, stop - start), dtype=np.uint64)
@@ -240,9 +249,16 @@ def _mc_chunk(N: int, seed: int, start: int, stop: int) -> np.ndarray:
                 z ^= z >> 27
                 z *= _SM64_MIX2
                 z ^= z >> 31
-            picked.append(words.compress(_returned(words, N), axis=1))
+            if two_n <= 8:
+                code = (words[0] & np.uint64(4**two_n - 1)).view(np.int64)
+                code += _BLOCK_OFFSET[two_n]
+                hist += np.bincount(loop_tau[code], minlength=two_n + 2)
+            else:
+                picked.append(words.compress(_returned(words, N), axis=1))
+    if two_n <= 8:
+        hist[0] = 0
+        return hist
     returners = np.concatenate(picked, axis=1)
-    hist = np.zeros(two_n + 2, dtype=np.int64)
     for part in range(0, returners.shape[1], _MC_TILE):
         words = returners[:, part : part + _MC_TILE]
         u = np.full(words.shape[1], _HIT_REACH, dtype=np.int16)  # U + 9, the row of hits

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ulam_moments import elliptic_engine as ee
+from ulam_moments import genfun
 
 # x by w, restricted to the feasible region 4x + w^2 < 1
 GRID = [
@@ -340,6 +341,47 @@ def test_alpha_closed_guards_and_growth() -> None:
     vals = [ee.alpha_closed(w, 0.15) for w in (0.3, 0.5, 0.6)]
     assert all(math.isfinite(v) and v > 0 for v in vals)
     assert vals[0] < vals[1] < vals[2]
+
+
+# x across the domain, and w = 0, then quarter decades down to 1e-30 and
+# whole decades down to 1e-320: w^2 leaves the normal float range near
+# w = 1e-154 and underflows to 0 near 1e-162
+SWEEP_X = (0.001, 0.01, 0.05, 0.1, 0.15, 0.2, 0.24)
+SWEEP_W = [0.0] + [10 ** (-k / 4) for k in range(4, 121)] + [10.0**-k for k in range(31, 321)]
+
+
+def test_routes_at_vanishing_w() -> None:
+    """Each A1/A2 route and alpha_closed either returns a value within its
+    tolerance of an independent route or raises ValueError or
+    ArithmeticError, but never ZeroDivisionError; NaN fails the tolerance.
+    A1 below 1e-300 is subnormal, so it is held to that absolute floor.
+    legendre_reduce has no reference and must fail in no other way."""
+    a2_pi = lambda x, w: ee.a2_pi_combination(x, w)[0]  # noqa: E731
+    alpha = lambda x, w: ee.alpha_closed(w, x)  # noqa: E731
+    misses = []
+    for x in SWEEP_X:
+        for w in SWEEP_W:
+            a1, a2 = ee.a1_closed(x, w), ee.a2_quadrature(x, w)
+            ref = genfun.alpha_contour(w, x)
+            for route, want, tol in (
+                (ee.a1_residue, a1, max(1e-12 * abs(a1), 1e-300)),
+                (ee.a1_reduced, a1, max(1e-12 * abs(a1), 1e-300)),
+                (ee.a2_checkpoint, a2, 1e-12 * (1 + a2)),
+                (ee.a2_closed, a2, 1e-12 * (1 + a2)),
+                (a2_pi, a2, 1e-8 * (1 + a2)),
+                (alpha, ref, 1e-9 * max(1, ref)),
+                (ee.legendre_reduce, None, None),
+            ):
+                try:
+                    got = route(x, w)
+                except ZeroDivisionError as exc:
+                    misses.append((route, x, w, exc))
+                    continue
+                except (ValueError, ArithmeticError):
+                    continue
+                if want is not None and not abs(got - want) <= tol:
+                    misses.append((route, x, w, got, want))
+    assert not misses, (len(misses), misses[:5])
 
 
 # ------------------------------------------------------- elliptic integrals

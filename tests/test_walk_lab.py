@@ -172,7 +172,8 @@ def test_block_tables_match_per_step_walk(L: int) -> None:
     U; a start at |U| >= 9 reads the clipped row, which must be 0. The
     popcount return test agrees with a step-by-step walk on every code of L
     steps, on 2000 seeded 32-step words, and on a 512-step walk that goes back
-    and forth (N = 256 needs counts wider than a byte)."""
+    and forth (N = 256 needs counts wider than a byte). On every code, loop_tau
+    is 1 + the visits to U = 0 of a walk from (0, 0) that ends there, else 0."""
     codes = np.arange(4**L, dtype=np.uint64)
     full = np.random.default_rng(L).integers(0, 2**64, 2000, dtype=np.uint64)
     back_and_forth = np.full((16, 1), 0x8888888888888888, dtype=np.uint64)
@@ -180,7 +181,11 @@ def test_block_tables_match_per_step_walk(L: int) -> None:
         want = _walk_returns(words, steps)
         assert want.any()
         assert np.array_equal(walk_lab._returned(words, steps // 2), want)
-    du, hits = walk_lab._block_tables()
+    du, hits, loop_tau = walk_lab._block_tables()
+    step_u = np.array([s[0] for s in walk_lab.UNIT_STEPS])
+    u_path = np.cumsum([step_u[(codes >> np.uint64(2 * t)) & np.uint64(3)] for t in range(L)], axis=0)
+    want = np.where(_walk_returns(codes[None, :], L), 1 + (u_path == 0).sum(axis=0), 0)
+    assert np.array_equal(loop_tau[walk_lab._BLOCK_OFFSET[L] + codes.astype(np.intp)], want)
     bits_all = range(4**L)
     if L > 4:
         straight = [d * (4**L - 1) // 3 for d in range(4)]
@@ -199,11 +204,13 @@ def test_block_tables_match_per_step_walk(L: int) -> None:
 
 def test_block_tables_read_only_and_built_before_dispatch() -> None:
     assert not any(t.flags.writeable for t in walk_lab._block_tables())
-    walk_lab._block_tables.cache_clear()
-    # 5 chunks over 4 worker threads, from an empty table cache
-    spread = walk_lab.a_monte_carlo(5, 1, 300000, seed=19, workers=4)
-    assert walk_lab._block_tables.cache_info().misses == 1
-    assert spread == walk_lab.a_monte_carlo(5, 1, 300000, seed=19)
+    # 5 chunks over 4 worker threads, from an empty table cache, on the
+    # multi-block kernel (N = 5) and on the one-block kernel (N = 3)
+    for N in (5, 3):
+        walk_lab._block_tables.cache_clear()
+        spread = walk_lab.a_monte_carlo(N, 1, 300000, seed=19, workers=4)
+        assert walk_lab._block_tables.cache_info().misses == 1
+        assert spread == walk_lab.a_monte_carlo(N, 1, 300000, seed=19)
 
 
 # (estimate, stderr) of the one-step-at-a-time kernel that the block kernel
