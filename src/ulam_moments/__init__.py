@@ -16,7 +16,7 @@ from .exact_core import (
     second_moment,
 )
 from .genfun import alpha_contour, alpha_series
-from .elliptic_engine import alpha_closed, elliptic_K, elliptic_Pi
+from .elliptic_engine import alpha_closed, elliptic_K
 from .perm_oracle import count_increasing, lis_length, z_distribution
 from .walk_lab import a_from_walk_exact, a_monte_carlo, polya_series
 
@@ -32,7 +32,6 @@ __all__ = [
     "b_coefficient",
     "count_increasing",
     "elliptic_K",
-    "elliptic_Pi",
     "first_moment",
     "k_array",
     "lis_length",

@@ -261,8 +261,8 @@ def _check_alpha_routes() -> None:
 
 def _check_roots() -> None:
     x, w = 0.1, 0.2
-    c1, c2, d1, d2 = ell.q1_roots(x).roots
-    a1, a2, b1, b2 = ell.q2_roots(x, w).roots
+    c1, c2, d1, d2 = ell.q1_roots(x)
+    a1, a2, b1, b2 = ell.q2_roots(x, w)
     assert abs(c1 * d2 - 1) < 1e-12 and abs(c2 * d1 - 1) < 1e-12
     assert abs(a1 * b2 - 1) < 1e-12 and abs(a2 * b1 - 1) < 1e-12
     assert 0 < a1 < c1 < c2 < a2 < 1 < b1 < d1 < d2 < b2
@@ -272,10 +272,8 @@ def _check_roots() -> None:
 
 def _check_a1_variants() -> None:
     for x, w in ((0.1, 0.2), (0.15, 0.3)):
-        vals = (ell.a1_residue(x, w), ell.a1_closed(x, w), ell.a1_reduced(x, w))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert abs(vals[i] - vals[j]) <= 1e-11 * abs(vals[i])
+        res = ell.a1_residue(x, w)
+        assert abs(ell.a1_closed(x, w) - res) <= 1e-11 * abs(res)
 
 
 def _check_closed_route() -> None:

@@ -13,6 +13,9 @@ come in reciprocal pairs; the roots are computed from the outer (additive,
 cancellation-free) closed forms and the inner ones as exact reciprocals,
 which makes the inversive products hold to the last bit.
 
+A1 has two evaluators: a1_residue, the log-derivative sum of the branch
+data at a2, and a1_closed, the root product 2 w a2 / Q2'(a2).
+
 A2 has four independent evaluators:
 
 - a2_closed (production, behind alpha_closed): Carlson's reduction of the
@@ -23,17 +26,19 @@ A2 has four independent evaluators:
   pair of rules (48 and 64 nodes) that must agree to 1e-12;
 - a2_checkpoint: the same on the Moebius-transformed interval;
 - a2_pi_combination (the headline identity): the reduction to Legendre
-  normal form and an exact combination of complete integrals K and Pi.
+  normal form and an exact combination of complete integrals K and Pi,
+  each even pair of Pi taken as one R_J.
 
-The complete Carlson integrals R_F(0, y, z), R_J(0, y, z, p) and the
-elementary R_C(x, y) are evaluated here on the arithmetic-geometric mean,
-so that importing the package loads no scipy.
+The complete Carlson integrals R_F(0, y, z) (which also gives K) and
+R_J(0, y, z, p) are evaluated here on the arithmetic-geometric mean, so
+that importing the package loads no scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import atan2, log1p, pi, sqrt
+from math import isnan, pi, sqrt
+from sys import float_info
 from typing import Callable
 
 import numpy as np
@@ -67,37 +72,26 @@ def q2_eval(x: float, w: float, xi: complex) -> complex:
     return q1_eval(x, xi) - w * w * xi * xi
 
 
-@dataclass(frozen=True)
-class QuarticRootSet:
-    """Ordered real roots of one of the two self-inversive quartics.
-
-    For Q1 the roots are (c1, c2, d1, d2) with c1*d2 = c2*d1 = 1; for Q2
-    they are (a1, a2, b1, b2) with a1*b2 = a2*b1 = 1. w is None for Q1.
-    """
-
-    x: float
-    w: float | None
-    roots: tuple[float, float, float, float]
-
-
-def q1_roots(x: float) -> QuarticRootSet:
-    """Roots of Q1: the two outer roots from their additive closed forms,
-    the two inner ones as exact reciprocals (self-inversive pairing)."""
+def q1_roots(x: float) -> tuple[float, float, float, float]:
+    """The ordered roots (c1, c2, d1, d2) of Q1, with c1*d2 = c2*d1 = 1: the
+    two outer roots from their additive closed forms, the two inner ones as
+    exact reciprocals (self-inversive pairing)."""
     _check_x(x)
     d1 = (1 - 2 * x + sqrt(1 - 4 * x)) / (2 * x)
     d2 = (1 + 2 * x + sqrt(1 + 4 * x)) / (2 * x)
-    return QuarticRootSet(x=x, w=None, roots=(1 / d2, 1 / d1, d1, d2))
+    return 1 / d2, 1 / d1, d1, d2
 
 
-def q2_roots(x: float, w: float) -> QuarticRootSet:
-    """Roots of Q2 with s = sqrt(4x^2 + w^2); same reciprocal construction."""
+def q2_roots(x: float, w: float) -> tuple[float, float, float, float]:
+    """The ordered roots (a1, a2, b1, b2) of Q2, with a1*b2 = a2*b1 = 1, from
+    s = sqrt(4x^2 + w^2) by the same reciprocal construction."""
     _check_x(x)
     if not 0 <= w <= sqrt(1 - 4 * x):
         raise ValueError(f"w must lie in [0, sqrt(1-4x)], got w={w}, x={x}")
     s = sqrt(4 * x * x + w * w)
     b1 = (1 - s + sqrt(1 + w * w - 2 * s)) / (2 * x)
     b2 = (1 + s + sqrt(1 + w * w + 2 * s)) / (2 * x)
-    return QuarticRootSet(x=x, w=w, roots=(1 / b2, 1 / b1, b1, b2))
+    return 1 / b2, 1 / b1, b1, b2
 
 
 def _root_gaps(
@@ -141,8 +135,8 @@ def _q2_poles(x: float, w: float) -> list[tuple[float, float, float, float]]:
     res_rho = w^2 rho^2 / (x^2 prod_{sigma != rho} (rho - sigma)) is the
     residue of Q1/Q2 at rho. The short distances come from _root_gaps, so
     poles next to the cut (small w) keep their digits. Needs w > 0."""
-    c1, c2, _, _ = q1 = q1_roots(x).roots
-    a1, a2, b1, b2 = q2 = q2_roots(x, w).roots
+    c1, c2, _, _ = q1 = q1_roots(x)
+    a1, a2, b1, b2 = q2 = q2_roots(x, w)
     g1, g2, gb1, gb2 = _root_gaps(x, w, q1, q2)
     _check_w_floor(x, w, w * w, g1, g2, w * w * a1 * a1)  # a1 is the smallest root
     dd = _d_gap(x)
@@ -168,14 +162,9 @@ def g_tilde(x: float, xi: complex) -> complex:
     with each factor taken as the principal square root (negative reals to
     +i*sqrt). Real and positive between the cuts, and on the cut (c1, c2)
     the value equals the upper-side limit +i*sqrt(-Q1)."""
-    c1, c2, d1, d2 = q1_roots(x).roots
-    return (
-        x
-        * principal_sqrt(xi - c1)
-        * principal_sqrt(xi - c2)
-        * principal_sqrt(d1 - xi)
-        * principal_sqrt(d2 - xi)
-    )
+    c1, c2, d1, d2 = q1_roots(x)
+    return (x * principal_sqrt(xi - c1) * principal_sqrt(xi - c2)
+            * principal_sqrt(d1 - xi) * principal_sqrt(d2 - xi))
 
 
 def a1_residue(x: float, w: float) -> float:
@@ -189,8 +178,8 @@ def a1_residue(x: float, w: float) -> float:
     _check_xw(x, w)
     if w == 0:
         return 0.0
-    c1, c2, d1, d2 = q1 = q1_roots(x).roots
-    _, a2, _, _ = q2 = q2_roots(x, w).roots
+    c1, c2, d1, d2 = q1 = q1_roots(x)
+    _, a2, _, _ = q2 = q2_roots(x, w)
     g2 = _root_gaps(x, w, q1, q2)[1]
     _check_w_floor(x, w, w * w, g2)
     half_poles = 1 / (c1 * c2 * _d_gap(x) + g2) + 1 / g2 - 1 / (d1 - a2) - 1 / (d2 - a2)
@@ -198,24 +187,16 @@ def a1_residue(x: float, w: float) -> float:
 
 
 def a1_closed(x: float, w: float) -> float:
-    """A1 in explicit root-product form: 2*w*a2 / Q2'(a2)."""
+    """A1 in explicit root-product form: 2*w*a2 / Q2'(a2). Both inner roots
+    are O(x), so a2 - a1 = g1 + delta + g2 comes from _root_gaps and _d_gap:
+    the naive difference loses a factor of about 1/x."""
     _check_xw(x, w)
     if w == 0:
         return 0.0
-    a1, a2, b1, b2 = q2_roots(x, w).roots
-    return 2 * w * a2 / (x * x * (a2 - a1) * (a2 - b1) * (a2 - b2))
-
-
-def a1_reduced(x: float, w: float) -> float:
-    """A1 with the outer roots eliminated via b1 = 1/a2, b2 = 1/a1."""
-    _check_xw(x, w)
-    if w == 0:
-        return 0.0
-    a1, a2, _, _ = q2_roots(x, w).roots
-    return (
-        2 * w * a1 * a2 * a2
-        / (x * x * (a2 - a1) * (1 - a2 * a2) * (1 - a1 * a2))
-    )
+    c1, c2, _, _ = q1 = q1_roots(x)
+    _, a2, b1, b2 = q2 = q2_roots(x, w)
+    g1, g2, _, _ = _root_gaps(x, w, q1, q2)
+    return 2 * w * a2 / (x * x * (g1 + c1 * c2 * _d_gap(x) + g2) * (a2 - b1) * (a2 - b2))
 
 
 # Two fixed Gauss-Legendre rule sizes; their disagreement is the error check.
@@ -269,8 +250,8 @@ def a2_quadrature(x: float, w: float) -> float:
     eps = sqrt((c1 - a1)/(c2 - c1)) and its twin, which _end_mapped
     resolves."""
     _check_xw(x, w)
-    c1, c2, d1, d2 = q1 = q1_roots(x).roots
-    _, _, b1, b2 = q2 = q2_roots(x, w).roots
+    c1, c2, d1, d2 = q1 = q1_roots(x)
+    _, _, b1, b2 = q2 = q2_roots(x, w)
     delta = c1 * c2 * _d_gap(x)
     # c1 - a1 and a2 - c2 in cancellation-free form: the naive differences
     # keep no digits at w near 1e-8.
@@ -299,8 +280,8 @@ def a2_checkpoint(x: float, w: float) -> float:
     _check_xw(x, w)
     u1 = 1 / sqrt(1 + 4 * x)
     u2 = sqrt(1 - 4 * x)
-    c1, c2, d1, d2 = q1 = q1_roots(x).roots
-    a1, a2, _, _ = q2 = q2_roots(x, w).roots
+    c1, c2, d1, d2 = q1 = q1_roots(x)
+    a1, a2, _, _ = q2 = q2_roots(x, w)
     gap1, gap2, _, _ = _root_gaps(x, w, q1, q2)
     lo, hi = -u1, -u2
     width = 16 * x * x * u1 / (1 + sqrt(1 - 16 * x * x))  # u1 - u2 without cancellation
@@ -362,9 +343,11 @@ def carlson_rj0(y: float, z: float, p: float) -> float:
 
     with nonnegative coefficients, so the first row of the product of
     these 2 x 2 steps, accumulated forwards, gives T_0 = sum_n Q_n free of
-    cancellation for every p > 0."""
+    cancellation for every normal p > 0."""
     if not (y > 0 and z > 0 and p > 0):
         raise ValueError(f"carlson_rj0 needs y, z, p > 0, got y={y}, z={z}, p={p}")
+    if p < float_info.min:
+        raise ArithmeticError(f"carlson_rj0 needs a normal float p, got p={p}")
     a, g, q = sqrt(y), sqrt(z), sqrt(p)
     r0, r1 = 1.0, 0.0
     # From the second step on, p_n halves per step until it meets the AGM,
@@ -375,25 +358,12 @@ def carlson_rj0(y: float, z: float, p: float) -> float:
         den = q2 + ag
         r0, r1 = (r0 * q2 + r1 * ag) / den, (r0 + r1) / 2
         if abs(q2 - ag) <= 1e-9 * den and abs(a - g) <= 4e-16 * a:
-            return 3 * pi * (r0 + r1) / (4 * a * p)
+            rj = 3 * pi * (r0 + r1) / (4 * a * p)
+            if isnan(rj):  # the first step's q^2 = (p + ag)^2 / (4p) overflowed
+                break
+            return rj
         a, g, q = (a + g) / 2, sqrt(ag), den / (2 * q)
-    raise ArithmeticError(f"R_J AGM did not converge at (y={y}, z={z}, p={p})")
-
-
-def carlson_rc(x: float, y: float) -> float:
-    """R_C(x, y) for x >= 0, y > 0, in elementary functions (DLMF 19.2.17-19).
-
-    Both branches are written so that x -> y and x / y -> 0 or infinity keep
-    their digits: atan2 for x < y, log1p for x > y."""
-    if not (x >= 0 and y > 0):
-        raise ValueError(f"carlson_rc needs x >= 0, y > 0, got x={x}, y={y}")
-    if x < y:
-        d = sqrt(y - x)
-        return atan2(d, sqrt(x)) / d
-    if x > y:
-        d = sqrt(x - y)
-        return log1p(2 * d * (sqrt(x) + d) / y) / (2 * d)
-    return 1 / sqrt(x)
+    raise ArithmeticError(f"R_J AGM failed in float range at (y={y}, z={z}, p={p})")
 
 
 def a2_closed(x: float, w: float) -> float:
@@ -418,7 +388,7 @@ def a2_closed(x: float, w: float) -> float:
     grow like (1 - 4x - w^2)^(-1/2) and cancel, which costs digits in
     proportion."""
     _check_xw(x, w)
-    c1, c2, d1, d2 = q1_roots(x).roots
+    c1, c2, d1, d2 = q1_roots(x)
     delta = c1 * c2 * _d_gap(x)
     u = (d1 - c1) * (d2 - c2)
     v = (d2 - c1) * (d1 - c2)
@@ -441,59 +411,10 @@ def alpha_closed(w: float, x: float) -> float:
 
 
 def elliptic_K(k: float) -> float:
-    """Complete elliptic integral K(k) = pi / (2 M(1, sqrt(1 - k^2)))."""
+    """Complete elliptic integral K(k) = R_F(0, 1 - k^2, 1)."""
     if not 0 <= k < 1:
         raise ValueError(f"elliptic_K needs k in [0, 1), got k={k}")
-    return pi / (2 * _agm(1.0, sqrt((1 - k) * (1 + k))))
-
-
-def elliptic_Pi(k: float, lam: float) -> float:
-    """Third-kind integral with a linear denominator:
-
-        Pi(k; lam) = int_0^1 dt / (sqrt((1-t^2)(1-k^2 t^2)) * (1 - lam*t)).
-
-    (The conventional form has 1 - lam*t^2; the even part in lam recovers
-    it.) In closed form, with k'^2 = 1 - k^2 and the odd part elementary:
-
-        Pi(k; lam) = K(k) + (lam^2/3) R_J(0, k'^2, 1, 1 - lam^2)
-                     + lam R_C(1 - lam^2, k'^2) / sqrt(1 - lam^2).
-
-    As lam -> -1 the even and odd parts both grow like (1 - lam^2)^(-1/2)
-    and cancel, so the relative error grows like eps / sqrt(1 - lam^2);
-    the even combination Pi(k; lam) + Pi(k; -lam) is free of it."""
-    if not 0 <= k < 1:
-        raise ValueError(f"elliptic_Pi needs k in [0, 1), got k={k}")
-    if not abs(lam) < 1:
-        raise ValueError(f"elliptic_Pi needs |lam| < 1, got lam={lam}")
-    kp2 = (1 - k) * (1 + k)
-    n1 = (1 - lam) * (1 + lam)
-    return (
-        elliptic_K(k)
-        + lam * lam / 3 * carlson_rj0(kp2, 1.0, n1)
-        + lam * carlson_rc(n1, kp2) / sqrt(n1)
-    )
-
-
-def moebius_L(z: complex) -> complex:
-    """L(z) = (z - 1)/(z + 1); odd under z -> 1/z."""
-    if z == -1:
-        raise ValueError("moebius_L pole at z = -1")
-    return (z - 1) / (z + 1)
-
-
-def moebius_Lambda(k: float, z: complex) -> complex:
-    """The root-cycling map for modulus k, with p = k^(-1/2):
-
-        Lambda(k; z) = ((p+1) z - p(p+1)) / ((p-1) z + p(p-1)),
-
-    sending 1/k -> 1, 1 -> -1, -1 -> -1/J(k), -1/k -> 1/J(k)."""
-    if not 0 < k < 1:
-        raise ValueError(f"moebius_Lambda needs k in (0, 1), got k={k}")
-    p = 1 / sqrt(k)
-    den = (p - 1) * z + p * (p - 1)
-    if den == 0:
-        raise ValueError(f"moebius_Lambda pole at z={z}")
-    return ((p + 1) * z - p * (p + 1)) / den
+    return carlson_rf0((1 - k) * (1 + k), 1.0)
 
 
 def involution_J(k: float) -> float:
@@ -542,15 +463,17 @@ def _compose(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...]:
 def legendre_reduce(x: float, w: float) -> EllipticReduction:
     """Builds the interval-to-[-1,1] Moebius map and the partial fractions.
 
-    Stage 1, L(z) = (z-1)/(z+1), sends the four Q1 roots to the symmetric
+    Stage 1, m_l: z -> (z-1)/(z+1), sends the four Q1 roots to the symmetric
     quadruple (-u1, -u2, u2, u1) with u1 = 1/sqrt(1+4x), u2 = sqrt(1-4x),
     whose modulus u2/u1 equals ktil = sqrt(1 - 16 x^2). Rescaling by -1/u2
-    and applying the root-cycling map for ktil then lands the roots on
-    (-1, 1, 1/k, -1/k) with final modulus k = J(ktil)."""
+    gives (1/ktil, 1, -1, -1/ktil), which the root-cycling map
+    m_lam: z -> ((p+1) z - p(p+1)) / ((p-1) z + p(p-1)), p = ktil^(-1/2),
+    sends to (1, -1, -1/k, 1/k); a final sign lands the roots on
+    (-1, 1, 1/k, -1/k) with modulus k = J(ktil)."""
     _check_xw(x, w)
     if w <= 0:
         raise ValueError(f"legendre_reduce needs w > 0, got w={w}")
-    c1, c2, d1, d2 = q1_roots(x).roots
+    c1, c2, d1, d2 = q1_roots(x)
     u2 = sqrt(1 - 4 * x)
     ktil = sqrt(1 - 16 * x * x)
     k2 = involution_J(ktil)
@@ -612,9 +535,11 @@ def a2_pi_combination(x: float, w: float) -> tuple[float, float, list[tuple[floa
         integral_{-1}^{1} ds / ((s - sigma) sqrt((1-s^2)(1-k^2 s^2)))
             = -(1/sigma) [Pi(k; 1/sigma) + Pi(k; -1/sigma)],
 
-    and the partial-fraction constant contributes 2K(k). The overall scale
-    is det / (pi * sqrt(Xi)); the change of variables contributes the same
-    determinant once more inside each transported coefficient.
+    with Pi(k; lam) = int_0^1 dt / (sqrt((1-t^2)(1-k^2 t^2)) (1 - lam t)), the
+    third kind in linear-denominator form, and the partial-fraction constant
+    contributes 2K(k). The overall scale is det / (pi * sqrt(Xi)); the change
+    of variables contributes the same determinant once more inside each
+    transported coefficient.
 
     Returns (value, K-coefficient, terms) with terms = [(coefficient, lam)]
     meaning value = K-coeff * 2K(k) + sum coeff * (Pi(k; lam) + Pi(k; -lam)).

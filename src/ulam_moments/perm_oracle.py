@@ -144,17 +144,6 @@ def moment(dist: ZDistribution, p: int) -> Fraction:
     return Fraction(total, factorial(dist.n))
 
 
-def mixed_moment(n: int, k: int, l: int) -> Fraction:
-    """E[Z_{n,k} * Z_{n,l}] by joint enumeration."""
-    _guard(n)
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ValueError(f"mixed_moment needs 1 <= k,l <= n, got ({n},{k},{l})")
-    total = 0
-    for vals in _lex_permutations(range(1, n + 1)):
-        total += _count_increasing(vals, k) * _count_increasing(vals, l)
-    return Fraction(total, factorial(n))
-
-
 def factorial_moment(n: int, k: int, s: int) -> Fraction:
     """E[C(Z_{n,k}, s)], the expected number of s-subsets of the Z subsequences."""
     _guard(n)

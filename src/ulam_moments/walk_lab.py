@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -106,9 +107,7 @@ class _Enumeration:
     total: int
 
 
-_ENUM_CACHE: dict[int, _Enumeration] = {}
-
-
+@lru_cache(maxsize=None)
 def enumerate_walks(N: int) -> _Enumeration:
     """Occupation-count histogram of the returning paths, cached per N.
 
@@ -121,9 +120,6 @@ def enumerate_walks(N: int) -> _Enumeration:
     """
     if N < 0:
         raise ValueError(f"enumerate_walks needs N >= 0, got N={N}")
-    cached = _ENUM_CACHE.get(N)
-    if cached is not None:
-        return cached
     two_n = 2 * N
     states = {(0, 0, 1): 1}  # (U, v, tau) -> number of horizontal-sign choices
     for t in range(two_n):
@@ -137,11 +133,9 @@ def enumerate_walks(N: int) -> _Enumeration:
     hist = [0] * (two_n + 2)
     for (_, v, tau), cnt in states.items():
         hist[tau] += cnt * comb(v, v // 2)
-    enum = _Enumeration(
+    return _Enumeration(
         N=N, tau_hist_returned=hist, returned_count=sum(hist), total=4**two_n
     )
-    _ENUM_CACHE[N] = enum
-    return enum
 
 
 def a_from_walk_exact(N: int, j: int) -> int:
@@ -164,15 +158,6 @@ def a_from_walk_exact(N: int, j: int) -> int:
 def return_probability(N: int) -> Fraction:
     """P((U_{2N}, V_{2N}) = (0,0)) = C(2N,N)^2 / 16^N."""
     return Fraction(comb(2 * N, N) ** 2, 16**N)
-
-
-def x_marginal_probability(N: int) -> Fraction:
-    """P(U_{2N} + V_{2N} = 0) = C(2N,N) / 4^N.
-
-    U + V is one of the two independent +-1 walks under the 45-degree
-    rotation, so its return probability is the 1D central binomial weight.
-    """
-    return Fraction(comb(2 * N, N), 4**N)
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +269,9 @@ def a_monte_carlo(
     Scales the sample mean of Q*R by 16^N. The tau histograms of fixed-size
     chunks merge by addition, and sum Q*R and sum (Q*R)^2 are exact integers
     formed from it, so results are identical for any worker count and
-    reproducible for a given (seed, samples). N < 256, so 16^N is a float.
+    reproducible for a given (seed, samples). Each Q*R lies in [0, C(2N + j, j)],
+    which bounds the estimate and the sample variance; a call where either
+    bound leaves float range is refused before it samples.
     """
     if not (0 <= N < 256) or j < 0:
         raise ValueError(f"a_monte_carlo needs 0 <= N < 256 and j >= 0, got ({N},{j})")
@@ -298,6 +285,8 @@ def a_monte_carlo(
     # tau = 0 cannot occur (t = 0 is always on the axis); keep a 0 placeholder
     # so that qvals lines up with the histogram over tau
     qvals = [0] + [binomial(tau + j - 1, j) for tau in range(1, two_n + 2)]
+    if max(16**N * qvals[-1], qvals[-1] ** 2 // 2) > float_info.max:  # exact int/float compare
+        raise ValueError(f"a_monte_carlo({N},{j}) can leave float range")
     bounds = [(s, min(s + _MC_CHUNK, samples)) for s in range(0, samples, _MC_CHUNK)]
     _block_tables()  # built here, so that worker threads never build them twice
     if workers > 1 and len(bounds) > 1:

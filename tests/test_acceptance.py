@@ -115,8 +115,8 @@ def test_criterion_06_quartic_roots() -> None:
     inversive pairings to 1e-12, the full ordering chain, and the w -> 0
     degeneration of inner/outer roots, across the shared grid."""
     for x, w in GRID:
-        c1, c2, d1, d2 = ee.q1_roots(x).roots
-        a1, a2, b1, b2 = ee.q2_roots(x, w).roots
+        c1, c2, d1, d2 = ee.q1_roots(x)
+        a1, a2, b1, b2 = ee.q2_roots(x, w)
         for r in (c1, c2, d1, d2):
             res = abs(ee.q1_eval(x, r))
             assert res < 1e-11, (x, r)
@@ -129,22 +129,19 @@ def test_criterion_06_quartic_roots() -> None:
         assert abs(a1 * b2 - 1) < 1e-12 and abs(a2 * b1 - 1) < 1e-12, (x, w)
         assert 0 < a1 < c1 < c2 < a2 < 1 < b1 < d1 < d2 < b2, (x, w)
     for x in (0.02, 0.05, 0.1, 0.15, 0.2):
-        assert ee.q2_roots(x, 0.0).roots == ee.q1_roots(x).roots, x
-        c = ee.q1_roots(x).roots
-        a = ee.q2_roots(x, 1e-6).roots
+        assert ee.q2_roots(x, 0.0) == ee.q1_roots(x), x
+        c = ee.q1_roots(x)
+        a = ee.q2_roots(x, 1e-6)
         assert max(abs(ai - ci) for ai, ci in zip(a, c)) < 1e-8, x
     print("criterion 06 (quartic-root suite): PASS")
 
 
 def test_criterion_07_a1_equivalence() -> None:
-    """The residue, closed, and reduced forms of the pole contribution agree
-    pairwise to 1e-11 relative across the shared grid."""
+    """The residue and closed forms of the pole contribution agree to 1e-11
+    relative across the shared grid."""
     for x, w in GRID:
-        vals = (ee.a1_residue(x, w), ee.a1_closed(x, w), ee.a1_reduced(x, w))
-        scale = max(abs(v) for v in vals)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert abs(vals[i] - vals[j]) <= 1e-11 * scale, (x, w, vals)
+        res, closed = ee.a1_residue(x, w), ee.a1_closed(x, w)
+        assert abs(res - closed) <= 1e-11 * max(abs(res), abs(closed)), (x, w, res, closed)
     print("criterion 07 (residue-formula equivalence): PASS")
 
 
@@ -181,13 +178,13 @@ def test_criterion_09_branch_phase() -> None:
     to 1e-9 with probe offset eps = 1e-6."""
     eps = 1e-6
     for x in (0.02, 0.05):
-        c1, c2, _, _ = ee.q1_roots(x).roots
+        c1, c2, _, _ = ee.q1_roots(x)
         r = (c1 + c2) / 2
         want = math.sqrt(-ee.q1_eval(x, r).real)
         assert abs(ee.g_tilde(x, complex(r, eps)) - 1j * want) < 1e-9, x
         assert abs(ee.g_tilde(x, complex(r, -eps)) + 1j * want) < 1e-9, x
     for x in (0.05, 0.1, 0.15, 0.2):
-        c1, c2, _, _ = ee.q1_roots(x).roots
+        c1, c2, _, _ = ee.q1_roots(x)
         for t in (0.25, 0.5, 0.75):
             r = c1 + t * (c2 - c1)
             want = math.sqrt(-ee.q1_eval(x, r).real)

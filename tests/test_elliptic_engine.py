@@ -51,24 +51,24 @@ def _residual_scale(x: float, r: float) -> float:
 
 @pytest.mark.parametrize("x,w", GRID)
 def test_quartic_root_residuals(x: float, w: float) -> None:
-    for r in ee.q1_roots(x).roots:
+    for r in ee.q1_roots(x):
         assert abs(ee.q1_eval(x, r)) / _residual_scale(x, r) < 1e-11
-    for r in ee.q2_roots(x, w).roots:
+    for r in ee.q2_roots(x, w):
         assert abs(ee.q2_eval(x, w, r)) / _residual_scale(x, r) < 1e-11
 
 
 @pytest.mark.parametrize("x,w", GRID)
 def test_inversive_products(x: float, w: float) -> None:
-    c1, c2, d1, d2 = ee.q1_roots(x).roots
-    a1, a2, b1, b2 = ee.q2_roots(x, w).roots
+    c1, c2, d1, d2 = ee.q1_roots(x)
+    a1, a2, b1, b2 = ee.q2_roots(x, w)
     for prod in (c1 * d2, c2 * d1, a1 * b2, a2 * b1):
         assert abs(prod - 1) < 1e-15
 
 
 @pytest.mark.parametrize("x,w", GRID)
 def test_root_ordering_chain(x: float, w: float) -> None:
-    c1, c2, d1, d2 = ee.q1_roots(x).roots
-    a1, a2, b1, b2 = ee.q2_roots(x, w).roots
+    c1, c2, d1, d2 = ee.q1_roots(x)
+    a1, a2, b1, b2 = ee.q2_roots(x, w)
     chain = (0.0, a1, c1, c2, a2, 1.0, b1, d1, d2, b2)
     for lo, hi in zip(chain, chain[1:]):
         assert lo < hi
@@ -77,7 +77,7 @@ def test_root_ordering_chain(x: float, w: float) -> None:
 @pytest.mark.parametrize("x", [0.02, 0.05, 0.1, 0.15, 0.2, 0.235])
 def test_w_zero_degeneration(x: float) -> None:
     """At w = 0 the Q2 roots coincide with the Q1 roots bit for bit."""
-    assert ee.q2_roots(x, 0.0).roots == ee.q1_roots(x).roots
+    assert ee.q2_roots(x, 0.0) == ee.q1_roots(x)
 
 
 def test_root_guards() -> None:
@@ -107,7 +107,7 @@ def test_g_tilde_square_is_q1(x: float, xi: complex) -> None:
 
 @pytest.mark.parametrize("x", [0.05, 0.1, 0.2])
 def test_g_tilde_real_positive_between_cuts(x: float) -> None:
-    c1, c2, d1, d2 = ee.q1_roots(x).roots
+    c1, c2, d1, d2 = ee.q1_roots(x)
     for t in (0.1, 0.5, 0.9):
         xi = c2 + t * (d1 - c2)
         val = ee.g_tilde(x, xi)
@@ -118,7 +118,7 @@ def test_g_tilde_real_positive_between_cuts(x: float) -> None:
 @pytest.mark.parametrize("x", [0.05, 0.1, 0.2])
 def test_g_tilde_on_cut_is_upper_limit(x: float) -> None:
     """On (c1, c2) the convention picks +i sqrt(-Q1)."""
-    c1, c2, _, _ = ee.q1_roots(x).roots
+    c1, c2, _, _ = ee.q1_roots(x)
     for t in (0.25, 0.5, 0.75):
         r = c1 + t * (c2 - c1)
         val = ee.g_tilde(x, r)
@@ -130,14 +130,14 @@ def test_g_tilde_on_cut_is_upper_limit(x: float) -> None:
 @pytest.mark.parametrize("x,w", [(0.05, 0.2), (0.1, 0.3), (0.15, 0.4), (0.2, 0.1)])
 def test_g_tilde_at_inner_roots(x: float, w: float) -> None:
     """g = +w xi at a2 but -w xi at a1, so only a2 contributes a residue."""
-    a1, a2, _, _ = ee.q2_roots(x, w).roots
+    a1, a2, _, _ = ee.q2_roots(x, w)
     assert complex(ee.g_tilde(x, a2)) == pytest.approx(w * a2, rel=1e-12)
     assert complex(ee.g_tilde(x, a1)) == pytest.approx(-w * a1, rel=1e-12)
 
 
 @pytest.mark.parametrize("x", [0.02, 0.05])
 def test_branch_one_sided_limits_at_midpoint(x: float) -> None:
-    c1, c2, _, _ = ee.q1_roots(x).roots
+    c1, c2, _, _ = ee.q1_roots(x)
     eps = 1e-6
     r = (c1 + c2) / 2
     want = sqrt(-ee.q1_eval(x, r).real)
@@ -150,7 +150,7 @@ def test_branch_one_sided_limits_at_midpoint(x: float) -> None:
 @pytest.mark.parametrize("x", [0.05, 0.1, 0.15, 0.2])
 def test_branch_jump_across_cut(x: float) -> None:
     """The O(eps) probe drift is real and cancels in the two-sided jump."""
-    c1, c2, _, _ = ee.q1_roots(x).roots
+    c1, c2, _, _ = ee.q1_roots(x)
     eps = 1e-6
     for t in (0.25, 0.5, 0.75):
         r = c1 + t * (c2 - c1)
@@ -165,21 +165,43 @@ def test_branch_jump_across_cut(x: float) -> None:
 
 @pytest.mark.parametrize("x,w", GRID)
 def test_a1_variants_agree_pairwise(x: float, w: float) -> None:
-    v1 = ee.a1_residue(x, w)
-    v2 = ee.a1_closed(x, w)
-    v3 = ee.a1_reduced(x, w)
-    assert v2 == pytest.approx(v1, rel=1e-11)
-    assert v3 == pytest.approx(v1, rel=1e-11)
-    assert v3 == pytest.approx(v2, rel=1e-11)
+    assert ee.a1_closed(x, w) == pytest.approx(ee.a1_residue(x, w), rel=1e-11)
 
 
 def test_a1_vanishes_at_w_zero() -> None:
-    for fn in (ee.a1_residue, ee.a1_closed, ee.a1_reduced):
+    for fn in (ee.a1_residue, ee.a1_closed):
         assert fn(0.1, 0.0) == 0.0
 
 
 def test_a1_small_w_continuity() -> None:
     assert 0 < ee.a1_residue(0.1, 1e-6) < 1e-3
+
+
+def _a1_mpmath(x: float, w: float) -> float:
+    """2 w a2 / Q2'(a2), with the roots of Q2 at 50 digits."""
+    with mpmath.workdps(50):
+        x, w = mpmath.mpf(x), mpmath.mpf(w)
+        s = mpmath.sqrt(4 * x * x + w * w)
+        b1 = (1 - s + mpmath.sqrt(1 + w * w - 2 * s)) / (2 * x)
+        b2 = (1 + s + mpmath.sqrt(1 + w * w + 2 * s)) / (2 * x)
+        a1, a2 = 1 / b2, 1 / b1
+        return float(2 * w * a2 / (x * x * (a2 - a1) * (a2 - b1) * (a2 - b2)))
+
+
+def test_a1_closed_at_small_x() -> None:
+    """a2 - a1 is about 4x^2 between two roots about x, so a naive difference
+    lost a factor of 1/x: 1.3e-11 at (1e-6, 1e-5) and 3.2e-10 at (1e-8, 1e-150).
+    Then a seeded scan of x from 1e-8 to 0.24. w stays below 0.7 sqrt(1 - 4x):
+    as w -> 1, q2_roots' b1 itself loses digits, in both A1 routes alike."""
+    rng = np.random.default_rng(17)
+    points = [(1e-6, 1e-5), (1e-8, 3.2e-5), (1e-8, 1e-150)]
+    for _ in range(200):
+        x = 10 ** rng.uniform(-8, math.log10(0.24))
+        scale = 10 ** rng.uniform(-150, 0) if rng.random() < 0.5 else rng.uniform(0, 1)
+        points.append((x, 0.7 * scale * sqrt(1 - 4 * x)))
+    for x, w in points:
+        want = _a1_mpmath(x, w)
+        assert abs(ee.a1_closed(x, w) / want - 1) <= 4e-15, (x, w)
 
 
 # ------------------------------------------------------------- cut integral
@@ -240,7 +262,7 @@ def test_a2_closed_against_mpmath(x: float, w: float, tol: float) -> None:
 
 @pytest.mark.parametrize(
     "route",
-    [ee.a1_residue, ee.a1_closed, ee.a1_reduced, ee.a2_quadrature, ee.a2_checkpoint,
+    [ee.a1_residue, ee.a1_closed, ee.a2_quadrature, ee.a2_checkpoint,
      ee.a2_closed, lambda x, w: ee.alpha_closed(w, x), ee.legendre_reduce,
      ee.a2_pi_combination],
 )
@@ -310,7 +332,7 @@ def test_closed_routes_use_no_gauss_legendre(monkeypatch) -> None:
 
     monkeypatch.setattr(ee, "_gl_pair", refuse)
     assert ee.alpha_closed(0.3, 0.1) > 0
-    assert ee.elliptic_Pi(0.5, 0.9) > 0
+    assert ee.elliptic_K(0.9) > 0
     assert ee.a2_pi_combination(0.1, 0.3)[0] > 0
     with pytest.raises(AssertionError):
         ee.a2_quadrature(0.1, 0.3)
@@ -365,7 +387,6 @@ def test_routes_at_vanishing_w() -> None:
             ref = genfun.alpha_contour(w, x)
             for route, want, tol in (
                 (ee.a1_residue, a1, max(1e-12 * abs(a1), 1e-300)),
-                (ee.a1_reduced, a1, max(1e-12 * abs(a1), 1e-300)),
                 (ee.a2_checkpoint, a2, 1e-12 * (1 + a2)),
                 (ee.a2_closed, a2, 1e-12 * (1 + a2)),
                 (a2_pi, a2, 1e-8 * (1 + a2)),
@@ -417,29 +438,18 @@ def test_elliptic_k_against_scipy(k: float) -> None:
     assert ee.elliptic_K(k) == pytest.approx(scipy.special.ellipk(k * k), rel=1e-12)
 
 
-def test_elliptic_pi_at_zero_lambda_is_k() -> None:
-    for k in (0.1, 0.4, 0.8):
-        assert ee.elliptic_Pi(k, 0.0) == pytest.approx(ee.elliptic_K(k), rel=1e-12)
+def _pi_even_pair(k: float, lam: float) -> float:
+    """Pi(k; lam) + Pi(k; -lam) of the linear-denominator third-kind integral,
+    as a2_pi_combination forms it: 2K(k) + (2 lam^2/3) R_J(0, k'^2, 1, 1 - lam^2).
+    It is twice the conventional Pi(lam^2, k)."""
+    n1 = (1 - lam) * (1 + lam)
+    return 2 * ee.elliptic_K(k) + 2 * lam * lam / 3 * ee.carlson_rj0((1 - k) * (1 + k), 1.0, n1)
 
 
 @pytest.mark.parametrize("k,lam", [(0.3, 0.5), (0.6, -0.4), (0.9, 0.2)])
 def test_elliptic_pi_against_adaptive_quadrature(k: float, lam: float) -> None:
-    """Independent oracle: adaptive integration of the theta form."""
+    """Independent oracle: adaptive integration of the conventional theta form."""
     want, err = scipy.integrate.quad(
-        lambda th: 1 / (math.sqrt(1 - k * k * math.sin(th) ** 2) * (1 - lam * math.sin(th))),
-        0,
-        pi / 2,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    assert err < 1e-10
-    assert ee.elliptic_Pi(k, lam) == pytest.approx(want, rel=1e-10)
-
-
-def test_elliptic_pi_even_part_is_conventional_form() -> None:
-    """Pi(k;lam) + Pi(k;-lam) equals twice the squared-denominator integral."""
-    k, lam = 0.4, 0.3
-    want, _ = scipy.integrate.quad(
         lambda th: 1
         / ((1 - lam * lam * math.sin(th) ** 2) * math.sqrt(1 - k * k * math.sin(th) ** 2)),
         0,
@@ -447,36 +457,39 @@ def test_elliptic_pi_even_part_is_conventional_form() -> None:
         epsabs=1e-13,
         epsrel=1e-13,
     )
-    got = ee.elliptic_Pi(k, lam) + ee.elliptic_Pi(k, -lam)
-    assert got == pytest.approx(2 * want, rel=1e-10)
+    assert err < 1e-10
+    assert _pi_even_pair(k, lam) == pytest.approx(2 * want, rel=1e-10)
 
 
-def _pi_linear_mpmath(k: float, lam: float) -> float:
-    """30-digit Pi(k; lam): the conventional even part from mpmath, plus the
-    odd part lam int_0^1 t dt / ((1 - lam^2 t^2) sqrt(...)) by quadrature
-    after 1 - t^2 = tau^2, split where its peak of width sqrt(1 - lam^2) is."""
-    with mpmath.workdps(30):
-        k, lam = mpmath.mpf(k), mpmath.mpf(lam)
-        even = mpmath.ellippi(lam**2, k**2)
-        e = mpmath.sqrt(1 - lam**2)
-        pts = [0] + [e * 10**j for j in range(20) if e * 10**j < 1] + [1]
-        odd = lam * mpmath.quad(
-            lambda t: 1 / ((e**2 + lam**2 * t * t) * mpmath.sqrt(1 - k**2 + k**2 * t * t)),
-            pts,
-        )
-        return float(even + odd)
+def test_elliptic_pi_even_part_is_conventional_form() -> None:
+    """At the K/Pi route's own (k, lam), each even pair is twice the
+    squared-denominator integral, and the returned terms recombine to the
+    route's value as its docstring states."""
+    for x, w in PI_POINTS:
+        value, k_coef, terms = ee.a2_pi_combination(x, w)
+        k = ee.legendre_reduce(x, w).modulus_k
+        total = k_coef * 2 * ee.elliptic_K(k)
+        for coef, lam in terms:
+            want, _ = scipy.integrate.quad(
+                lambda th: 1
+                / ((1 - lam * lam * math.sin(th) ** 2) * math.sqrt(1 - k * k * math.sin(th) ** 2)),
+                0, pi / 2, epsabs=1e-13, epsrel=1e-13, limit=200,
+            )
+            pair = _pi_even_pair(k, lam)
+            assert pair == pytest.approx(2 * want, rel=1e-9), (x, w, lam)
+            total += coef * pair
+        assert total == pytest.approx(value, rel=1e-14, abs=1e-14), (x, w)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.99])
 def test_elliptic_pi_near_unit_lambda(k: float) -> None:
-    """Accurate to a few ulps for lam >= 0, up to lam = 1 - 1e-12 where the
-    quadrature form never converged. For lam < 0 the even and odd parts
-    cancel and the error grows like eps / sqrt(1 - lam^2), as documented."""
+    """The even pair against 30-digit mpmath, to a few ulps up to
+    lam = 1 - 1e-12, where R_J meets p = 1 - lam^2 = 2e-12 (the K/Pi route's
+    inner poles at small w)."""
     for lam in (1 - 1e-12, 0.999999, 0.9, 0.5, 0.0):
-        got, want = ee.elliptic_Pi(k, lam), _pi_linear_mpmath(k, lam)
-        assert abs(got / want - 1) <= 2e-15, lam
-        got, want = ee.elliptic_Pi(k, -lam), _pi_linear_mpmath(k, -lam)
-        assert abs(got / want - 1) <= 1e-14 / sqrt((1 - lam) * (1 + lam)), -lam
+        with mpmath.workdps(30):
+            want = float(2 * mpmath.ellippi(mpmath.mpf(lam) ** 2, mpmath.mpf(k) ** 2))
+        assert abs(_pi_even_pair(k, lam) / want - 1) <= 2e-15, lam
 
 
 # x in [0.02, 0.24] and w in [1e-8, 1e-3], where the inner pole images sit
@@ -508,10 +521,9 @@ def test_pi_combination_tiny_w() -> None:
 
 
 def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
-    """Every argument tuple that a2_closed, the K/Pi route and elliptic_Pi
-    at the K/Pi route's (k, lam) hand to the Carlson helpers over the test
-    regions of the domain."""
-    seen: dict[str, list[tuple[float, ...]]] = {"rf0": [], "rj0": [], "rc": []}
+    """Every argument tuple that a2_closed and the K/Pi route hand to the
+    Carlson helpers over the test regions of the domain."""
+    seen: dict[str, list[tuple[float, ...]]] = {"rf0": [], "rj0": []}
     for name in seen:
         real = getattr(ee, f"carlson_{name}")
 
@@ -523,9 +535,7 @@ def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
     for x, w in GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS:
         ee.a2_closed(x, w)
         if x >= 0.04 and w >= 1e-5:  # inside the K/Pi route's own domain
-            k = ee.legendre_reduce(x, w).modulus_k
-            for _, lam in ee.a2_pi_combination(x, w)[2]:
-                ee.elliptic_Pi(k, lam)
+            ee.a2_pi_combination(x, w)
     monkeypatch.undo()
     return seen
 
@@ -542,8 +552,6 @@ def test_carlson_helpers_on_reduction_arguments(monkeypatch) -> None:
     for y, z, p in args["rj0"]:
         want = scipy.special.elliprj(0, y, z, p)
         assert ee.carlson_rj0(y, z, p) == pytest.approx(want, rel=2e-14)
-    for x, y in args["rc"]:
-        assert ee.carlson_rc(x, y) == pytest.approx(scipy.special.elliprc(x, y), rel=2e-15)
 
 
 def test_carlson_rj0_small_and_large_p() -> None:
@@ -559,12 +567,6 @@ def test_carlson_rj0_small_and_large_p() -> None:
         assert ee.carlson_rj0(y, z, p) == pytest.approx(scipy.special.elliprj(0, y, z, p), rel=3e-14)
 
 
-@pytest.mark.parametrize("x,y", [(0.0, 2.0), (1e-300, 1.0), (0.5, 2.0), (2.0, 2.0),
-                                 (2.0, 2.0 * (1 - 1e-15)), (2.0, 0.5), (1e300, 1.0)])
-def test_carlson_rc_branches(x: float, y: float) -> None:
-    assert ee.carlson_rc(x, y) == pytest.approx(scipy.special.elliprc(x, y), rel=2e-15)
-
-
 def test_carlson_guards() -> None:
     with pytest.raises(ValueError):
         ee.carlson_rf0(0.0, 1.0)
@@ -572,32 +574,14 @@ def test_carlson_guards() -> None:
         ee.carlson_rj0(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         ee.carlson_rj0(1.0, math.nan, 1.0)
-    with pytest.raises(ValueError):
-        ee.carlson_rc(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        ee.carlson_rc(1.0, 0.0)
+    # p below the normal range, and p normal but far below y z, where the
+    # first step squares past the float range; both returned NaN before
+    for args in ((0.9999997745311276, 1.0, 1e-310), (1.0, 1.0, 5e-324), (1e6, 1e6, 1e-300)):
+        with pytest.raises(ArithmeticError):
+            ee.carlson_rj0(*args)
 
 
-def test_elliptic_pi_guards() -> None:
-    with pytest.raises(ValueError):
-        ee.elliptic_Pi(1.0, 0.2)
-    with pytest.raises(ValueError):
-        ee.elliptic_Pi(0.5, 1.0)
-    with pytest.raises(ValueError):
-        ee.elliptic_Pi(0.5, -1.2)
-
-
-# ------------------------------------------------------------- Moebius maps
-
-
-@given(st.floats(min_value=0.05, max_value=20).filter(lambda z: abs(z - 1) > 1e-3))
-def test_moebius_l_odd_under_inversion(z: float) -> None:
-    assert ee.moebius_L(1 / z) == pytest.approx(-ee.moebius_L(z), rel=1e-12)
-
-
-def test_moebius_l_pole() -> None:
-    with pytest.raises(ValueError):
-        ee.moebius_L(-1)
+# ------------------------------------------------------------ involution J
 
 
 @pytest.mark.parametrize("k", [0.1, 0.3, 0.7, 0.95])
@@ -614,22 +598,6 @@ def test_involution_j_fixed_point() -> None:
         ee.involution_J(1.0)
 
 
-@pytest.mark.parametrize("k", [0.2, 0.5, 0.8])
-def test_moebius_lambda_root_cycle(k: float) -> None:
-    jk = ee.involution_J(k)
-    assert ee.moebius_Lambda(k, 1 / k) == pytest.approx(1.0, rel=1e-12)
-    assert ee.moebius_Lambda(k, 1.0) == pytest.approx(-1.0, rel=1e-12)
-    assert ee.moebius_Lambda(k, -1.0) == pytest.approx(-1 / jk, rel=1e-12)
-    assert ee.moebius_Lambda(k, -1 / k) == pytest.approx(1 / jk, rel=1e-12)
-
-
-def test_moebius_lambda_pole_and_guards() -> None:
-    with pytest.raises(ValueError):
-        ee.moebius_Lambda(0.5, -1 / sqrt(0.5))
-    with pytest.raises(ValueError):
-        ee.moebius_Lambda(0.0, 1.0)
-
-
 # -------------------------------------------------------- Legendre reduction
 
 
@@ -639,7 +607,7 @@ def test_legendre_reduce_root_images(x: float, w: float) -> None:
     ma, mb, mc, md = red.moebius
     k2 = red.modulus_k
     assert k2 == ee.involution_J(sqrt(1 - 16 * x * x))
-    c1, c2, d1, d2 = ee.q1_roots(x).roots
+    c1, c2, d1, d2 = ee.q1_roots(x)
 
     def phi(z: float) -> float:
         return (ma * z + mb) / (mc * z + md)

@@ -73,12 +73,6 @@ def test_reversal_complement_symmetry() -> None:
                 ) == perm_oracle.count_increasing(p, k)
 
 
-def test_mixed_moment_symmetry_and_diagonal() -> None:
-    assert perm_oracle.mixed_moment(5, 2, 3) == perm_oracle.mixed_moment(5, 3, 2)
-    dist = perm_oracle.z_distribution(5, 2)
-    assert perm_oracle.mixed_moment(5, 2, 2) == perm_oracle.moment(dist, 2)
-
-
 def test_moment_zero_is_one() -> None:
     dist = perm_oracle.z_distribution(4, 2)
     assert perm_oracle.moment(dist, 0) == 1

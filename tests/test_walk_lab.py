@@ -72,26 +72,26 @@ def test_return_and_marginal_probabilities() -> None:
         assert Fraction(enum.returned_count, enum.total) == walk_lab.return_probability(
             N
         )
+    # X = U + V and Y = U - V are independent walks with the same law, so
+    # the return probability is the square of the brute-force marginal of X
     for N in range(4):
         x_zero = sum(
             1
             for steps in product(walk_lab.UNIT_STEPS, repeat=2 * N)
             if sum(du + dv for du, dv in steps) == 0
         )
-        assert Fraction(x_zero, 4 ** (2 * N)) == walk_lab.x_marginal_probability(N)
+        assert Fraction(x_zero, 4 ** (2 * N)) ** 2 == walk_lab.return_probability(N)
     assert walk_lab.return_probability(3) == Fraction(math.comb(6, 3) ** 2, 16**3)
 
 
 def test_enumeration_worker_independence() -> None:
     """The exact path has no worker split; its result must not depend on
     whether the per-N cache was cold or warm, or on the order of N."""
-    for N in (5, 3):
-        walk_lab._ENUM_CACHE.pop(N, None)
+    walk_lab.enumerate_walks.cache_clear()
     cold = walk_lab.enumerate_walks(5)
     first_small = walk_lab.enumerate_walks(3)
     assert walk_lab.enumerate_walks(5) is cold
-    for N in (5, 3):
-        walk_lab._ENUM_CACHE.pop(N, None)
+    walk_lab.enumerate_walks.cache_clear()
     assert walk_lab.enumerate_walks(3) == first_small
     assert walk_lab.enumerate_walks(5) == cold
 
@@ -253,7 +253,11 @@ def test_monte_carlo_estimates_calibrated() -> None:
     assert abs(est - exact) / err < 4
 
 
-def test_monte_carlo_edges_and_guards() -> None:
+def _refuse_to_sample(*args):
+    raise AssertionError(f"_mc_chunk{args} ran for a call that must be refused")
+
+
+def test_monte_carlo_edges_and_guards(monkeypatch) -> None:
     assert walk_lab.a_monte_carlo(0, 5, 10, seed=1) == (1.0, 0.0)
     est, err = walk_lab.a_monte_carlo(1, 1, 1, seed=3)
     assert err == 0.0
@@ -264,10 +268,14 @@ def test_monte_carlo_edges_and_guards() -> None:
     for workers in (0, -3):
         with pytest.raises(ValueError):
             walk_lab.a_monte_carlo(2, 1, 1000, seed=1, workers=workers)
-    # 16^N leaves float range at N = 256: ValueError up front, not OverflowError after sampling
-    for args in ((256, 0, 100, 1), (300, 0, 70000, 1)):
-        with pytest.raises(ValueError):
-            walk_lab.a_monte_carlo(*args)
+    # 16^N leaves float range at N = 256, and 16^N C(2N + j, j) below it at
+    # large j: ValueError up front, not OverflowError after sampling
+    with monkeypatch.context() as patch:
+        patch.setattr(walk_lab, "_mc_chunk", _refuse_to_sample)
+        for args in ((256, 0, 100, 1), (300, 0, 70000, 1), (255, 40, 1000, 1), (255, 1, 100, 1),
+                     (200, 300, 100, 1), (1, 10**80, 100, 1)):
+            with pytest.raises(ValueError):
+                walk_lab.a_monte_carlo(*args)
     assert walk_lab.a_monte_carlo(255, 0, 100, 1) == pytest.approx((1.12e305, 1.12e305), rel=1e-2)
     # Q reaches C(36, 30) ~ 1.9e6 at (3, 30); the sums are exact Python ints
     want = exact_core.a_array(3, 30)
