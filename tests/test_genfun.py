@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ulam_moments import exact_core, genfun
-from ulam_moments.elliptic_engine import alpha_closed
+from ulam_moments.elliptic_engine import alpha_closed, q1_eval
 from ulam_moments.genfun import SeriesTruncation, principal_sqrt
 
 # (x, w) pairs spanning the feasible region 4x + w^2 < 1
@@ -222,3 +224,56 @@ def test_alpha_contour_cap_raises(monkeypatch) -> None:
     monkeypatch.setattr(genfun, "_CONTOUR_MAX_NODES", genfun._CONTOUR_NODES)
     with pytest.raises(ArithmeticError):
         genfun.alpha_contour(0.1, 0.2)
+
+
+def _alpha_mpmath(w: float, x: float) -> float:
+    """(1/pi) int_0^pi dtheta / (sqrt((1 - 2x cos)^2 - 4x^2) - w) at 30 digits."""
+    with mpmath.workdps(30):
+        w, x = mpmath.mpf(w), mpmath.mpf(x)
+
+        def f(th):
+            return 1 / (mpmath.sqrt((1 - 2 * x * mpmath.cos(th)) ** 2 - 4 * x * x) - w)
+
+        pi = mpmath.pi
+        return float(mpmath.quad(f, [0, pi / 4, pi / 2, pi]) / pi)
+
+
+def test_alpha_contour_band_within_512_nodes(monkeypatch) -> None:
+    """Next to the singular curve the mapped nodes converge within 512, and
+    every value is within 1e-12 (relative above 1) of the mpmath quadrature."""
+    monkeypatch.setattr(genfun, "_CONTOUR_MAX_NODES", 512)
+    rng = random.Random(2014)
+    pts = []
+    for _ in range(48):  # x on [0.001, 0.24), 1 - 4x - w^2 = 10^U(-4, -2)
+        x = rng.uniform(0.001, 0.24)
+        pts.append((math.sqrt(1 - 4 * x - 10 ** rng.uniform(-4, -2)), x))
+    pts += [(0.0, x) for x in (0.001, 0.1, 0.2, 0.24, 0.2499)]
+    pts += [(w, x) for x, w in POINTS] + [(0.5, 0.05), (0.9, 0.0)]
+    for w, x in pts:
+        want = _alpha_mpmath(w, x)
+        assert abs(genfun.alpha_contour(w, x) - want) <= 1e-12 * max(1.0, want), (w, x)
+
+
+def test_alpha_contour_near_curve_is_right_or_raises() -> None:
+    """Closer to the curve than the contour's floor, it raises rather than
+    return a wrong number."""
+    for eps in (1e-6, 1e-8):
+        for x in (0.001, 0.24):
+            w = math.sqrt(1 - 4 * x - eps)
+            try:
+                got = genfun.alpha_contour(w, x)
+            except ArithmeticError:
+                continue
+            want = _alpha_mpmath(w, x)
+            assert abs(got - want) <= 1e-9 * max(1.0, want), (w, x)
+
+
+def test_alpha_contour_unmapped_where_singularity_is_far() -> None:
+    """Where the nearest singularity is at least 1/4 from the real theta
+    axis the nodes stay equispaced in theta: the value is exactly the plain
+    contour mean."""
+    for w, x in [(0.0, 0.0), (0.3, 0.1), (0.1, 0.2), (0.5, 0.05), (0.0, 0.15)]:
+        val = genfun.diagonal_extract(
+            lambda xi: 1 / (principal_sqrt(q1_eval(x, xi) / (xi * xi)) - w)
+        )
+        assert genfun.alpha_contour(w, x) == val.real
