@@ -12,7 +12,6 @@ from .exact_core import (
     a_array,
     b_coefficient,
     first_moment,
-    k_array,
     second_moment,
 )
 from .genfun import alpha_contour, alpha_series
@@ -33,7 +32,6 @@ __all__ = [
     "count_increasing",
     "elliptic_K",
     "first_moment",
-    "k_array",
     "lis_length",
     "polya_series",
     "second_moment",

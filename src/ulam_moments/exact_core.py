@@ -15,32 +15,27 @@ for the number Z_{n,k} of increasing length-k subsequences of a uniform random
 permutation of size n.
 
 A(N, j) is evaluated on demand by its closed product form (see ``a_array``);
-the convolution ``k_array`` and the literal enumeration ``a_array_direct``
-are the independent routes the tests check it against. Only ``moment_weights``,
-the weighted anti-diagonal the second moment reads, is cached: ~1.6 k^2 bytes per k.
+the literal enumeration ``a_array_direct`` is the independent route the tests
+and the benchmark oracles check it against, and the tests also rebuild K by
+repeated truncated convolution. Only ``moment_weights``, the weighted
+anti-diagonal the second moment reads, is cached: ~1.6 k^2 bytes per k.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm, prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "a_array",
     "a_array_direct",
     "a_row",
     "b_coefficient",
-    "bell_polynomial",
     "binomial",
-    "check_square_identity",
-    "elementary_from_power_sums",
-    "falling_factorial",
     "first_moment",
-    "k_array",
     "kernel",
     "moment_weights",
-    "multinomial",
     "second_moment",
     "second_moment_numerator",
 ]
@@ -60,68 +55,6 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """n!/(p1! * ... * pm!) when all parts are >= 0 and sum to n, else 0."""
-    if len(parts) == 0:
-        raise ValueError("multinomial needs a nonempty parts list")
-    if any(p < 0 for p in parts) or sum(parts) != n:
-        return 0
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
-def falling_factorial(z: Fraction | int, n: int) -> Fraction:
-    """(z)_n = z (z-1) ... (z-n+1), with (z)_0 = 1."""
-    if n < 0:
-        raise ValueError(f"falling_factorial needs n >= 0, got n={n}")
-    z = Fraction(z)
-    out = Fraction(1)
-    for k in range(n):
-        out *= z - k
-    return out
-
-
-def bell_polynomial(r: int, x: Sequence[Fraction | int]) -> Fraction:
-    """Normalized partition polynomial B_r of the weights x_1..x_r.
-
-    Defined by B_0 = 1 and the recurrence
-
-        B_r = (1/r) * sum_{m=1}^{r} (-1)^m * (x_m / (m-1)!) * B_{r-m}.
-
-    The defining property (and the oracle the tests use) is the specialization
-    B_r(-0!*z, -1!*z, ..., -(r-1)!*z) = (z)_r / r! for every z.
-    """
-    if r < 0:
-        raise ValueError(f"bell_polynomial needs r >= 0, got r={r}")
-    if len(x) < r:
-        raise ValueError(f"bell_polynomial needs at least r={r} weights, got {len(x)}")
-    vals = [Fraction(1)]
-    for rr in range(1, r + 1):
-        acc = Fraction(0)
-        for m in range(1, rr + 1):
-            sign = -1 if m % 2 else 1
-            acc += sign * Fraction(x[m - 1]) / factorial(m - 1) * vals[rr - m]
-        vals.append(acc / rr)
-    return vals[r]
-
-
-def elementary_from_power_sums(r: int, indicator_sum: Fraction | int) -> Fraction:
-    """Elementary symmetric function e_r of 0/1 variables with common power sum Z.
-
-    For indicator variables every power sum equals their count Z, and
-    e_r = C(Z, r) = (Z)_r / r!. Computed through the partition-polynomial
-    route (weights x_m = -(m-1)! * Z) so it independently cross-checks
-    ``falling_factorial``.
-    """
-    if r < 0:
-        raise ValueError(f"elementary_from_power_sums needs r >= 0, got r={r}")
-    z = Fraction(indicator_sum)
-    weights = [-factorial(m - 1) * z for m in range(1, r + 1)]
-    return bell_polynomial(r, weights)
-
-
 def b_coefficient(n: int, j: int) -> Fraction:
     """B(N, j) = C(N, j)/j!, zero when j > N."""
     if j < 0 or j > n:
@@ -132,40 +65,6 @@ def b_coefficient(n: int, j: int) -> Fraction:
 def kernel(l: int, m: int) -> int:
     """Convolution kernel T(l, m) = C(l+m, l)^2."""
     return comb(l + m, l) ** 2
-
-
-def k_array(L: int, M: int, j: int) -> int:
-    """K(L, M, j): (j+1)-fold truncated 2D self-convolution of the kernel.
-
-    Equals the sum over all pairs of compositions (l_0..l_j) of L and
-    (m_0..m_j) of M of the product of T(l_r, m_r). Computed by dynamic
-    programming: j repeated truncated convolutions, O(j * L^2 * M^2)
-    exact-integer multiplications, instead of the exponential literal
-    enumeration (kept as ``a_array_direct`` for cross-checking).
-    """
-    if L < 0 or M < 0 or j < 0:
-        raise ValueError(f"k_array needs nonnegative arguments, got ({L},{M},{j})")
-    T = [[kernel(l, m) for m in range(M + 1)] for l in range(L + 1)]
-    K = [row[:] for row in T]
-    for _ in range(j):
-        K = _convolve_truncated(K, T, L, M)
-    return K[L][M]
-
-
-def _convolve_truncated(
-    K: list[list[int]], T: list[list[int]], L: int, M: int
-) -> list[list[int]]:
-    out = [[0] * (M + 1) for _ in range(L + 1)]
-    for a in range(L + 1):
-        for b in range(M + 1):
-            s = 0
-            for l in range(a + 1):
-                Krow = K[l]
-                Trow = T[a - l]
-                for m in range(b + 1):
-                    s += Krow[m] * Trow[b - m]
-            out[a][b] = s
-    return out
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -292,17 +191,3 @@ def first_moment(n: int, k: int) -> Fraction:
     if not (1 <= k <= n):
         raise ValueError(f"first_moment needs 1 <= k <= n, got (n,k)=({n},{k})")
     return Fraction(binomial(n, k), factorial(k))
-
-
-def check_square_identity(l: int, m: int) -> bool:
-    """Whether sum_n multinomial(l+m; n, n, l-n, m-n) equals C(l+m, l)^2.
-
-    The distinguishable-rearrangements identity that collapses the squared
-    binomial into a single multinomial sum; evaluated exactly.
-    """
-    if l < 0 or m < 0:
-        raise ValueError(f"check_square_identity needs l, m >= 0, got ({l},{m})")
-    lhs = sum(
-        multinomial(l + m, [n, n, l - n, m - n]) for n in range(min(l, m) + 1)
-    )
-    return lhs == binomial(l + m, l) ** 2

@@ -52,30 +52,6 @@ def principal_sqrt(z: complex) -> complex:
     return cmath.sqrt(z)
 
 
-def kappa1(x: complex, y: complex) -> complex:
-    """1 / (1 - x - y), the ordinary two-variable path kernel."""
-    den = 1 - x - y
-    if den == 0:
-        raise ValueError(f"kappa1 pole at x={x}, y={y}")
-    return 1 / den
-
-
-def kappa2(x: complex, y: complex) -> complex:
-    """1 / sqrt((1 - x - y)^2 - 4xy), the squared-kernel diagonal."""
-    den = principal_sqrt((1 - x - y) ** 2 - 4 * x * y)
-    if den == 0:
-        raise ValueError(f"kappa2 branch point at x={x}, y={y}")
-    return 1 / den
-
-
-def kappa(w: complex, x: complex, y: complex) -> complex:
-    """1 / (sqrt((1 - x - y)^2 - 4xy) - w), the w-deformed diagonal kernel."""
-    den = principal_sqrt((1 - x - y) ** 2 - 4 * x * y) - w
-    if den == 0:
-        raise ValueError(f"kappa pole at w={w}, x={x}, y={y}")
-    return 1 / den
-
-
 @dataclass
 class SeriesTruncation:
     """Output record of alpha_series: tail_bound is filled by the call with
@@ -200,7 +176,8 @@ def alpha_contour(w: float, x: float) -> float:
     so node counts grow like d^(-1/2), not d^(-1). Above 1/4 the map saves
     no nodes. Within about 1e-6 of 4x + w^2 = 1 the denominator cancels too
     far for two levels to agree and the route raises ArithmeticError. The
-    imaginary part of the mean must vanish to 1e-10 or it is rejected.
+    imaginary part of the mean must vanish to 1e-10 relative to max(1, alpha)
+    or it is rejected.
     """
     _check_alpha_domain(w, x)
     from .elliptic_engine import q1_eval
@@ -221,7 +198,7 @@ def alpha_contour(w: float, x: float) -> float:
             return unmapped((z + a) / b) * z * (1 - a * a) / (b * (z + a))
 
     val = diagonal_extract(f)
-    if abs(val.imag) >= 1e-10:
+    if abs(val.imag) >= 1e-10 * max(1.0, abs(val.real)):
         raise ArithmeticError(
             f"contour mean has non-vanishing imaginary part {val.imag:.3e}"
         )

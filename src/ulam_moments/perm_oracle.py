@@ -36,17 +36,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.values)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def reversal(self) -> "Permutation":
-        return Permutation(self.values[::-1])
-
-    def complement(self) -> "Permutation":
-        n = self.n
-        return Permutation(tuple(n + 1 - v for v in self.values))
-
 
 @dataclass
 class ZDistribution:
@@ -59,9 +48,6 @@ class ZDistribution:
     n: int
     k: int
     counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def count_increasing(perm: Permutation, k: int) -> int:

@@ -97,19 +97,11 @@ def q_statistic(stats: WalkStats, j: int) -> int:
     return binomial(stats.tau + j - 1, j)
 
 
-@dataclass
-class _Enumeration:
-    """Aggregates over all 4^{2N} paths."""
-
-    N: int
-    tau_hist_returned: list[int]  # tau_hist_returned[tau] over returning paths
-    returned_count: int
-    total: int
-
-
 @lru_cache(maxsize=None)
-def enumerate_walks(N: int) -> _Enumeration:
-    """Occupation-count histogram of the returning paths, cached per N.
+def enumerate_walks(N: int) -> tuple[int, ...]:
+    """Occupation-count histogram of the returning paths, cached per N:
+    entry tau counts the paths back at (0, 0) after 2N steps that visit
+    U = 0 tau times. It sums to the number of returning paths, out of 16^N.
 
     A transfer-matrix DP over the state (U, v, tau), where v counts the
     vertical steps so far. A step moves U by +-1 or is vertical (U stays, v
@@ -133,9 +125,7 @@ def enumerate_walks(N: int) -> _Enumeration:
     hist = [0] * (two_n + 2)
     for (_, v, tau), cnt in states.items():
         hist[tau] += cnt * comb(v, v // 2)
-    return _Enumeration(
-        N=N, tau_hist_returned=hist, returned_count=sum(hist), total=4**two_n
-    )
+    return tuple(hist)
 
 
 def a_from_walk_exact(N: int, j: int) -> int:
@@ -147,10 +137,9 @@ def a_from_walk_exact(N: int, j: int) -> int:
     """
     if j < 0:
         raise ValueError(f"a_from_walk_exact needs j >= 0, got j={j}")
-    enum = enumerate_walks(N)
     return sum(
         cnt * binomial(tau + j - 1, j)
-        for tau, cnt in enumerate(enum.tau_hist_returned)
+        for tau, cnt in enumerate(enumerate_walks(N))
         if cnt
     )
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ulam_moments import elliptic_engine as ee
-from ulam_moments import exact_core, walk_lab
+from ulam_moments import cli, exact_core, walk_lab
 
 CLI = [sys.executable, "-m", "ulam_moments.cli"]
 
@@ -270,8 +270,19 @@ def test_verify_all_suites() -> None:
     res = run_cli("verify")
     assert res.returncode == 0
     _, rows = parse_csv(res.stdout)
-    assert len(rows) >= 12
+    assert [(r[0], r[1]) for r in rows] == [
+        (suite, check) for suite, checks in cli.SUITES.items() for check, _ in checks
+    ]
     assert all(r[2] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "suite,check",
+    [(suite, check) for suite, checks in cli.SUITES.items() for check, _ in checks],
+)
+def test_verify_check_in_process(suite: str, check: str) -> None:
+    """Each verify check run directly, so that a failure shows its assertion."""
+    dict(cli.SUITES[suite])[check]()
 
 
 # ------------------------------------------------------------ output plumbing

@@ -37,59 +37,6 @@ def test_binomial_rejects_negative_n() -> None:
         exact_core.binomial(-1, 0)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5))
-def test_multinomial_factorial_oracle(parts: list[int]) -> None:
-    n = sum(parts)
-    want = math.factorial(n)
-    for p in parts:
-        want //= math.factorial(p)
-    assert exact_core.multinomial(n, parts) == want
-    # sum mismatch and negative parts give zero, not an error
-    assert exact_core.multinomial(n + 1, parts) == 0
-    assert exact_core.multinomial(n - 1, [-1] + parts[1:]) == 0
-
-
-def test_multinomial_rejects_empty() -> None:
-    with pytest.raises(ValueError):
-        exact_core.multinomial(3, [])
-
-
-@given(
-    st.fractions(min_value=-10, max_value=10, max_denominator=12),
-    st.integers(min_value=0, max_value=8),
-)
-def test_falling_factorial_product_oracle(z: Fraction, n: int) -> None:
-    want = Fraction(1)
-    for i in range(n):
-        want *= z - i
-    assert exact_core.falling_factorial(z, n) == want
-
-
-def test_falling_factorial_base_case() -> None:
-    assert exact_core.falling_factorial(Fraction(7, 3), 0) == 1
-    with pytest.raises(ValueError):
-        exact_core.falling_factorial(1, -1)
-
-
-@pytest.mark.parametrize("z", [-2, Fraction(-1, 2), 0, Fraction(1, 2), 3])
-@pytest.mark.parametrize("r", range(9))
-def test_bell_specialization_oracle(r: int, z: Fraction | int) -> None:
-    """B_r(-0!z, ..., -(r-1)!z) must equal (z)_r / r! for every z."""
-    weights = [-math.factorial(m - 1) * Fraction(z) for m in range(1, r + 1)]
-    want = exact_core.falling_factorial(z, r) / math.factorial(r)
-    assert exact_core.bell_polynomial(r, weights) == want
-
-
-def test_bell_base_is_one() -> None:
-    assert exact_core.bell_polynomial(0, []) == 1
-
-
-@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=6))
-def test_elementary_from_power_sums_is_binomial(z: int, r: int) -> None:
-    """For 0/1 indicators with count Z, e_r = C(Z, r)."""
-    assert exact_core.elementary_from_power_sums(r, z) == exact_core.binomial(z, r)
-
-
 def test_b_coefficient() -> None:
     assert exact_core.b_coefficient(5, 2) == Fraction(10, 2)
     assert exact_core.b_coefficient(5, 6) == 0
@@ -99,11 +46,43 @@ def test_b_coefficient() -> None:
 @pytest.mark.parametrize("l", range(7))
 @pytest.mark.parametrize("m", range(7))
 def test_kernel_square_identity(l: int, m: int) -> None:
-    """The multinomial rearrangement sum collapses to C(l+m, l)^2."""
-    assert exact_core.check_square_identity(l, m)
+    """The rearrangement sum (l+m)!/(n! n! (l-n)! (m-n)!) over n
+    collapses to the kernel T(l, m) = C(l+m, l)^2."""
+    f = math.factorial
+    rearrangements = sum(
+        f(l + m) // (f(n) ** 2 * f(l - n) * f(m - n)) for n in range(min(l, m) + 1)
+    )
+    assert exact_core.kernel(l, m) == rearrangements
 
 
 # ------------------------------------------------------------------- A table
+
+
+def k_array(L: int, M: int, j: int) -> int:
+    """K(L, M, j): the (j+1)-fold truncated 2D self-convolution of the kernel,
+    the sum over all pairs of compositions (l_0..l_j) of L and (m_0..m_j) of
+    M of the product of T(l_r, m_r), by j repeated truncated convolutions."""
+    T = [[exact_core.kernel(l, m) for m in range(M + 1)] for l in range(L + 1)]
+    K = T
+    for _ in range(j):
+        K = _convolve_truncated(K, T, L, M)
+    return K[L][M]
+
+
+def _convolve_truncated(
+    K: list[list[int]], T: list[list[int]], L: int, M: int
+) -> list[list[int]]:
+    out = [[0] * (M + 1) for _ in range(L + 1)]
+    for a in range(L + 1):
+        for b in range(M + 1):
+            s = 0
+            for l in range(a + 1):
+                Krow = K[l]
+                Trow = T[a - l]
+                for m in range(b + 1):
+                    s += Krow[m] * Trow[b - m]
+            out[a][b] = s
+    return out
 
 
 DIRECT_CASES = [(N, j) for N in range(5) for j in range(5)] + [(5, 2), (6, 1), (2, 5)]
@@ -113,7 +92,7 @@ DIRECT_CASES = [(N, j) for N in range(5) for j in range(5)] + [(5, 2), (6, 1), (
 def test_a_array_matches_direct_enumeration(N: int, j: int) -> None:
     """Dynamic programming vs the literal double-composition sum."""
     want = exact_core.a_array_direct(N, j)
-    assert exact_core.k_array(N, N, j) == want
+    assert k_array(N, N, j) == want
     assert exact_core.a_array(N, j) == want
 
 
@@ -149,7 +128,7 @@ def test_a_array_matches_convolution_sweep() -> None:
     K = T
     for j in range(61):
         if j:
-            K = exact_core._convolve_truncated(K, T, n_max, n_max)
+            K = _convolve_truncated(K, T, n_max, n_max)
         for N in range(n_max + 1):
             assert exact_core.a_array(N, j) == K[N][N], (N, j)
 
@@ -255,5 +234,3 @@ def test_moment_guards() -> None:
         exact_core.first_moment(0, 1)
     with pytest.raises(ValueError):
         exact_core.a_array(-1, 0)
-    with pytest.raises(ValueError):
-        exact_core.k_array(1, 1, -1)

@@ -1,4 +1,4 @@
-"""Generating-function layer: kernels, diagonal extraction, series vs contour."""
+"""Generating-function layer: diagonal extraction, series vs contour."""
 from __future__ import annotations
 
 import math
@@ -42,28 +42,6 @@ def test_principal_sqrt_nonnegative_imag_on_cut(t: float) -> None:
     assert principal_sqrt(-t).real == 0
 
 
-# ----------------------------------------------------------------- kernels
-
-
-def test_kappa_specializations() -> None:
-    for x, y in [(0.1, 0.2), (0.05, 0.05), (0.3, 0.1)]:
-        assert genfun.kappa(0.0, x, y) == genfun.kappa2(x, y)
-        assert genfun.kappa2(x, 0.0) == pytest.approx(1 / (1 - x), rel=1e-14)
-        assert genfun.kappa1(x, y) == pytest.approx(1 / (1 - x - y), rel=1e-15)
-
-
-def test_kappa_poles_raise() -> None:
-    with pytest.raises(ValueError):
-        genfun.kappa1(0.5, 0.5)
-    with pytest.raises(ValueError):
-        genfun.kappa2(0.25, 0.25)
-    # w sitting exactly on the branch value makes the denominator vanish
-    x = y = 0.1
-    w = math.sqrt((1 - x - y) ** 2 - 4 * x * y)
-    with pytest.raises(ValueError):
-        genfun.kappa(w, x, y)
-
-
 # ------------------------------------------------------- diagonal extraction
 
 
@@ -76,25 +54,26 @@ def test_diagonal_extract_laurent_polynomial() -> None:
 def test_diagonal_extract_central_binomial() -> None:
     """diag of 1/(1 - x xi - y/xi) is sum C(2n,n)(xy)^n = (1-4xy)^(-1/2)."""
     for x, y in [(0.1, 0.2), (0.15, 0.3)]:
-        val = genfun.diagonal_extract(lambda xi: genfun.kappa1(x * xi, y / xi))
+        val = genfun.diagonal_extract(lambda xi: 1 / (1 - x * xi - y / xi))
         assert val.imag == pytest.approx(0.0, abs=1e-12)
         assert val.real == pytest.approx(1 / math.sqrt(1 - 4 * x * y), rel=1e-11)
 
 
 def test_nested_diagonal_reproduces_squared_kernel() -> None:
-    """The two-variable double diagonal of kappa1-bar-kappa1 is kappa2 of
-    the squared arguments."""
+    """The two-variable double diagonal of k(x xi, y zeta) k(x/xi, y/zeta),
+    k(u, v) = 1/(1 - u - v), is the squared-kernel diagonal
+    1/sqrt((1 - u - v)^2 - 4uv) at u = x^2, v = y^2."""
     x, y = 0.1, 0.2
 
     def outer(zeta: complex) -> complex:
         return genfun.diagonal_extract(
-            lambda xi: genfun.kappa1(x * xi, y * zeta)
-            * genfun.kappa1(x / xi, y / zeta)
+            lambda xi: 1 / ((1 - x * xi - y * zeta) * (1 - x / xi - y / zeta))
         )
 
     val = genfun.diagonal_extract(outer)
-    want = genfun.kappa2(x * x, y * y)
-    assert val.real == pytest.approx(want.real, rel=1e-10)
+    u, v = x * x, y * y
+    want = 1 / math.sqrt((1 - u - v) ** 2 - 4 * u * v)
+    assert val.real == pytest.approx(want, rel=1e-10)
     assert val.imag == pytest.approx(0.0, abs=1e-10)
 
 
@@ -266,6 +245,16 @@ def test_alpha_contour_near_curve_is_right_or_raises() -> None:
                 continue
             want = _alpha_mpmath(w, x)
             assert abs(got - want) <= 1e-9 * max(1.0, want), (w, x)
+
+
+def test_alpha_contour_large_alpha_keeps_relative_imag_test() -> None:
+    """Where alpha is in the thousands, an imaginary part of 1e-10 is
+    rounding, not a failed contour: the value is returned, and it is right."""
+    x = 0.001
+    for eps in (1e-6, 1e-5):
+        w = math.sqrt(1 - 4 * x - eps)
+        want = _alpha_mpmath(w, x)
+        assert abs(genfun.alpha_contour(w, x) - want) <= 1e-9 * want, eps
 
 
 def test_alpha_contour_unmapped_where_singularity_is_far() -> None:

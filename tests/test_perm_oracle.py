@@ -15,7 +15,7 @@ def test_s3_k2_distribution_by_hand() -> None:
     # 123 -> 3 pairs, 132/213 -> 2, 231/312 -> 1, 321 -> 0
     dist = perm_oracle.z_distribution(3, 2)
     assert dist.counts == {0: 1, 1: 2, 2: 2, 3: 1}
-    assert dist.total() == 6
+    assert sum(dist.counts.values()) == 6
 
 
 def test_count_increasing_examples() -> None:
@@ -24,13 +24,13 @@ def test_count_increasing_examples() -> None:
     assert perm_oracle.count_increasing(p, 2) == 7
     assert perm_oracle.count_increasing(p, 1) == 5
     assert perm_oracle.count_increasing(p, 5) == 0
-    assert perm_oracle.count_increasing(Permutation.identity(6), 6) == 1
+    assert perm_oracle.count_increasing(Permutation(tuple(range(1, 7))), 6) == 1
 
 
 def test_counts_sum_to_factorial() -> None:
     for n in range(1, 7):
         for k in range(1, n + 1):
-            assert perm_oracle.z_distribution(n, k).total() == math.factorial(n)
+            assert sum(perm_oracle.z_distribution(n, k).counts.values()) == math.factorial(n)
 
 
 def test_z_of_length_one_is_constant() -> None:
@@ -66,7 +66,7 @@ def test_reversal_complement_symmetry() -> None:
     for n in (4, 5):
         for vals in permutations(range(1, n + 1)):
             p = Permutation(vals)
-            q = p.reversal().complement()
+            q = Permutation(tuple(n + 1 - v for v in reversed(vals)))
             for k in (2, 3):
                 assert perm_oracle.count_increasing(
                     q, k
@@ -123,8 +123,6 @@ def test_permutation_validation() -> None:
         Permutation((1, 1, 2))
     p = Permutation((3, 1, 2))
     assert p.n == 3
-    assert p.reversal().values == (2, 1, 3)
-    assert p.complement().values == (1, 3, 2)
 
 
 def test_guards() -> None:

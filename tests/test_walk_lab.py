@@ -52,10 +52,8 @@ def test_enumeration_matches_itertools_oracle(N: int) -> None:
         if s.returned:
             hist[s.tau] += 1
             returned += 1
-    enum = walk_lab.enumerate_walks(N)
-    assert enum.tau_hist_returned == hist
-    assert enum.returned_count == returned
-    assert enum.total == 4 ** (2 * N)
+    assert walk_lab.enumerate_walks(N) == tuple(hist)
+    assert sum(hist) == returned
 
 
 def test_walk_identity_small() -> None:
@@ -68,10 +66,8 @@ def test_walk_identity_small() -> None:
 
 def test_return_and_marginal_probabilities() -> None:
     for N in range(13):
-        enum = walk_lab.enumerate_walks(N)
-        assert Fraction(enum.returned_count, enum.total) == walk_lab.return_probability(
-            N
-        )
+        returned = sum(walk_lab.enumerate_walks(N))
+        assert Fraction(returned, 16**N) == walk_lab.return_probability(N)
     # X = U + V and Y = U - V are independent walks with the same law, so
     # the return probability is the square of the brute-force marginal of X
     for N in range(4):
@@ -86,9 +82,12 @@ def test_return_and_marginal_probabilities() -> None:
 
 def test_enumeration_worker_independence() -> None:
     """The exact path has no worker split; its result must not depend on
-    whether the per-N cache was cold or warm, or on the order of N."""
+    whether the per-N cache was cold or warm, or on the order of N. The
+    cached histogram is shared by every caller, so it is read-only."""
     walk_lab.enumerate_walks.cache_clear()
     cold = walk_lab.enumerate_walks(5)
+    with pytest.raises(TypeError):
+        cold[1] += 1
     first_small = walk_lab.enumerate_walks(3)
     assert walk_lab.enumerate_walks(5) is cold
     walk_lab.enumerate_walks.cache_clear()
@@ -98,8 +97,7 @@ def test_enumeration_worker_independence() -> None:
 
 def test_enumeration_guard() -> None:
     # N = 7 was past the old brute-force limit; the DP has no upper guard
-    enum = walk_lab.enumerate_walks(7)
-    assert enum.returned_count == math.comb(14, 7) ** 2
+    assert sum(walk_lab.enumerate_walks(7)) == math.comb(14, 7) ** 2
     with pytest.raises(ValueError):
         walk_lab.enumerate_walks(-1)
 
