@@ -60,6 +60,10 @@ def _emit(header: list[str], rows: list[list], args) -> None:
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -123,11 +127,7 @@ def _cmd_elliptic(args) -> int:
             "pf_terms": [list(t) for t in red.pf_terms],
             "raw_pf_terms": [list(t) for t in red.raw_pf_terms],
         }
-        text = json.dumps(payload, indent=2) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(json.dumps(payload, indent=2) + "\n", args)
         return EXIT_OK
     a1 = ell.a1_closed(x, w)
     a2_ref = ell.a2_quadrature(x, w)
@@ -276,6 +276,9 @@ def _check_closed_route() -> None:
     val, _, terms = ell.a2_pi_combination(x, w)
     assert abs(val - ref) < 1e-8
     assert len(terms) <= 4 and all(abs(lam) < 1 for _, lam in terms)
+    w, x = 0.9979196888896462, 0.0010098639841811686  # b1 - a2 is short as w -> 1
+    closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
+    assert abs(closed / con - 1) <= 1e-12, (w, x, closed, con)
 
 
 def _check_elliptic_k() -> None:

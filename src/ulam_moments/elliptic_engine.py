@@ -9,9 +9,9 @@ quartic Q1, picking up one residue on the way:
     A2 = (1/pi) * integral over (c1, c2) of sqrt(-Q1(r)) / (-Q2(r)) dr,
 
 with Q2 = Q1 - w^2 xi^2. Both quartics are self-inversive, so their roots
-come in reciprocal pairs; the roots are computed from the outer (additive,
-cancellation-free) closed forms and the inner ones as exact reciprocals,
-which makes the inversive products hold to the last bit.
+come in reciprocal pairs. One private _geometry checks the domain and forms
+both root sets and every short distance between them, each without
+cancellation; every route below, q1_roots and q2_roots read it.
 
 A1 has two evaluators: a1_residue, the log-derivative sum of the branch
 data at a2, and a1_closed, the root product 2 w a2 / Q2'(a2).
@@ -35,6 +35,7 @@ that importing the package loads no scipy.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isnan, pi, sqrt
@@ -50,18 +51,6 @@ from .genfun import principal_sqrt
 X_MAX = 0.24
 
 
-def _check_x(x: float) -> None:
-    if not 0 < x <= X_MAX:
-        raise ValueError(f"x must lie in (0, {X_MAX}], got x={x}")
-
-
-def _check_xw(x: float, w: float) -> None:
-    """The domain of alpha and of every A1 and A2 route."""
-    _check_x(x)
-    if not (w >= 0 and 4 * x + w * w < 1):
-        raise ValueError(f"need w >= 0 and 4x + w^2 < 1, got x={x}, w={w}")
-
-
 def q1_eval(x: float, xi: complex) -> complex:
     """Q1(x, xi) = (xi - x(xi^2 + 1))^2 - 4 x^2 xi^2."""
     return (xi - x * (xi * xi + 1)) ** 2 - 4 * x * x * xi * xi
@@ -72,47 +61,73 @@ def q2_eval(x: float, w: float, xi: complex) -> complex:
     return q1_eval(x, xi) - w * w * xi * xi
 
 
-def q1_roots(x: float) -> tuple[float, float, float, float]:
-    """The ordered roots (c1, c2, d1, d2) of Q1, with c1*d2 = c2*d1 = 1: the
-    two outer roots from their additive closed forms, the two inner ones as
-    exact reciprocals (self-inversive pairing)."""
-    _check_x(x)
-    d1 = (1 - 2 * x + sqrt(1 - 4 * x)) / (2 * x)
-    d2 = (1 + 2 * x + sqrt(1 + 4 * x)) / (2 * x)
-    return 1 / d2, 1 / d1, d1, d2
+# The roots c1 < c2 < 1 < d1 < d2 of Q1 and a1 < a2 < 1 < b1 < b2 of Q2, and
+# every distance between them that a route reads: delta = c2 - c1,
+# dd = d2 - d1, g1 = c1 - a1, g2 = a2 - c2, gb1 = d1 - b1, gb2 = b2 - d2 and
+# gab = b1 - a2.
+_Geometry = namedtuple("_Geometry", "c1 c2 d1 d2 a1 a2 b1 b2 delta dd g1 g2 gb1 gb2 gab")
 
 
-def q2_roots(x: float, w: float) -> tuple[float, float, float, float]:
-    """The ordered roots (a1, a2, b1, b2) of Q2, with a1*b2 = a2*b1 = 1, from
-    s = sqrt(4x^2 + w^2) by the same reciprocal construction."""
-    _check_x(x)
-    if not 0 <= w <= sqrt(1 - 4 * x):
-        raise ValueError(f"w must lie in [0, sqrt(1-4x)], got w={w}, x={x}")
-    s = sqrt(4 * x * x + w * w)
-    b1 = (1 - s + sqrt(1 + w * w - 2 * s)) / (2 * x)
-    b2 = (1 + s + sqrt(1 + w * w + 2 * s)) / (2 * x)
-    return 1 / b2, 1 / b1, b1, b2
+def _geometry(x: float, w: float) -> _Geometry:
+    """The root geometry at (x, w), after the check of the domain of alpha
+    and of every A1 and A2 route: ValueError unless 0 < x <= X_MAX, w >= 0
+    and 4x + w^2 < 1.
 
+    The outer roots d1, d2, b2 come from their additive closed forms and
+    the inner ones as exact reciprocals (c1 d2 = c2 d1 = a1 b2 = a2 b1 = 1),
+    so the inversive products hold to the last bit. Every distance is a sum
+    of positive parts. With s = sqrt(4x^2 + w^2), t = s + 2x and
+    eps = (1 - w)(1 + w) - 4x > 0:
 
-def _root_gaps(
-    x: float, w: float, q1: tuple[float, ...], q2: tuple[float, ...]
-) -> tuple[float, float, float, float]:
-    """The distances c1 - a1, a2 - c2, d1 - b1, b2 - d2 between the two root
-    sets, each O(w^2), in cancellation-free forms: with s = sqrt(4x^2 + w^2)
-    and t = s + 2x, s - 2x = w^2 / t and the square-root differences are
-    rationalized, so every term is a sum of positive parts."""
-    c1, c2, _, _ = q1
-    a1, a2, _, _ = q2
+        s - 2x = w^2 / t,
+        lo = 1 - s - 2x = eps / (1 - 2x + s),
+        p = sqrt(1 + w^2 - 2s) = sqrt(lo (lo + 4x)),
+        b1 - 1 = (lo + p) / (2x),  b1 - a2 = (b1 - 1)(b1 + 1) / b1,
+
+    and the differences of square roots in d1 - b1 and b2 - d2 are
+    rationalized. So b1 and a2 keep their digits as w -> 1 at small x, and
+    the O(w^2) gaps at small w. At w = 0 the Q2 roots are the Q1 roots."""
+    if not 0 < x <= X_MAX:
+        raise ValueError(f"x must lie in (0, {X_MAX}], got x={x}")
+    if not (w >= 0 and 4 * x + w * w < 1):
+        raise ValueError(f"need w >= 0 and 4x + w^2 < 1, got x={x}, w={w}")
+    r1, r2 = sqrt(1 - 4 * x), sqrt(1 + 4 * x)
+    d1 = (1 - 2 * x + r1) / (2 * x)
+    d2 = (1 + 2 * x + r2) / (2 * x)
+    c1, c2 = 1 / d2, 1 / d1
+    dd = 2 + 4 / (r2 + r1)
     w2 = w * w
     s = sqrt(4 * x * x + w2)
     t = s + 2 * x
-    gb1 = w2 * (1 + (2 - t) / (sqrt(1 - 4 * x) + sqrt(1 + w2 - 2 * s))) / (2 * x * t)
-    gb2 = w2 * (1 / t + (1 + 2 / t) / (sqrt(1 + w2 + 2 * s) + sqrt(1 + 4 * x))) / (2 * x)
-    return gb2 * c1 * a1, gb1 * c2 * a2, gb1, gb2
+    lo = ((1 - w) * (1 + w) - 4 * x) / (1 - 2 * x + s)
+    p = sqrt(lo * (lo + 4 * x))
+    q = sqrt(1 + w2 + 2 * s)
+    bm1 = (lo + p) / (2 * x)
+    b1, b2 = 1 + bm1, (1 + s + q) / (2 * x)
+    a1, a2 = 1 / b2, 1 / b1
+    if w == 0:  # the Q1 roots, bit for bit
+        a1, a2, b1, b2 = c1, c2, d1, d2
+    gb1 = w2 * (1 + (2 - t) / (r1 + p)) / (2 * x * t)
+    gb2 = w2 * (1 / t + (1 + 2 / t) / (q + r2)) / (2 * x)
+    return _Geometry(c1, c2, d1, d2, a1, a2, b1, b2, c1 * c2 * dd, dd,
+                     gb2 * c1 * a1, gb1 * c2 * a2, gb1, gb2, bm1 * (2 + bm1) / b1)
+
+
+def q1_roots(x: float) -> tuple[float, float, float, float]:
+    """The ordered roots (c1, c2, d1, d2) of Q1, with c1*d2 = c2*d1 = 1."""
+    geo = _geometry(x, 0.0)
+    return geo.c1, geo.c2, geo.d1, geo.d2
+
+
+def q2_roots(x: float, w: float) -> tuple[float, float, float, float]:
+    """The ordered roots (a1, a2, b1, b2) of Q2, with a1*b2 = a2*b1 = 1, on
+    the open domain 4x + w^2 < 1."""
+    geo = _geometry(x, w)
+    return geo.a1, geo.a2, geo.b1, geo.b2
 
 
 def _check_w_floor(x: float, w: float, *shrinking: float) -> None:
-    """ArithmeticError unless w^2, the gaps of _root_gaps and the residue
+    """ArithmeticError unless w^2, the gaps of _geometry and the residue
     numerators w^2 rho^2 that a route uses are all at least 2^-1000.
 
     Floats keep 53 bits from 2^-1022 up and overflow at 2^1024. For x >= 2^-11
@@ -125,31 +140,24 @@ def _check_w_floor(x: float, w: float, *shrinking: float) -> None:
         raise ArithmeticError(f"w too small for float range at (x={x}, w={w})")
 
 
-def _d_gap(x: float) -> float:
-    """d2 - d1 without cancellation; c2 - c1 = c1 c2 (d2 - d1)."""
-    return 2 + 4 / (sqrt(1 + 4 * x) + sqrt(1 - 4 * x))
-
-
-def _q2_poles(x: float, w: float) -> list[tuple[float, float, float, float]]:
+def _q2_poles(x: float, w: float, geo: _Geometry) -> list[tuple[float, float, float, float]]:
     """(rho, c1 - rho, c2 - rho, res_rho) for the four Q2 roots, where
     res_rho = w^2 rho^2 / (x^2 prod_{sigma != rho} (rho - sigma)) is the
-    residue of Q1/Q2 at rho. The short distances come from _root_gaps, so
-    poles next to the cut (small w) keep their digits. Needs w > 0."""
-    c1, c2, _, _ = q1 = q1_roots(x)
-    a1, a2, b1, b2 = q2 = q2_roots(x, w)
-    g1, g2, gb1, gb2 = _root_gaps(x, w, q1, q2)
+    residue of Q1/Q2 at rho. The short distances come from the geometry geo,
+    so poles next to the cut (small w) and next to 1 keep their digits.
+    Needs w > 0."""
+    a1, a2, b1, b2 = geo.a1, geo.a2, geo.b1, geo.b2
+    g1, g2, delta, gab = geo.g1, geo.g2, geo.delta, geo.gab
     _check_w_floor(x, w, w * w, g1, g2, w * w * a1 * a1)  # a1 is the smallest root
-    dd = _d_gap(x)
-    delta = c1 * c2 * dd
     aa = g1 + delta + g2  # a2 - a1
-    bb = gb1 + dd + gb2  # b2 - b1
+    bb = geo.gb1 + geo.dd + geo.gb2  # b2 - b1
     return [
         (rho, e1, e2, w * w * rho * rho / (x * x * prod))
         for rho, e1, e2, prod in (
             (a1, g1, delta + g1, -aa * (a1 - b1) * (a1 - b2)),
-            (a2, -(delta + g2), -g2, aa * (a2 - b1) * (a2 - b2)),
-            (b1, c1 - b1, c2 - b1, -(b1 - a1) * (b1 - a2) * bb),
-            (b2, c1 - b2, c2 - b2, (b2 - a1) * (b2 - a2) * bb),
+            (a2, -(delta + g2), -g2, -aa * gab * (a2 - b2)),
+            (b1, geo.c1 - b1, geo.c2 - b1, -(b1 - a1) * gab * bb),
+            (b2, geo.c1 - b2, geo.c2 - b2, (b2 - a1) * (b2 - a2) * bb),
         )
     ]
 
@@ -173,30 +181,26 @@ def a1_residue(x: float, w: float) -> float:
     g(a1) = -w*a1, so a1 is not a pole of the deformed integrand; the
     residue term is the single contribution 1/(g'(a2) - w), with g'/g the
     sum of half poles (1/(xi-c1) + 1/(xi-c2) - 1/(d1-xi) - 1/(d2-xi)) / 2.
-    The O(w^2) distance a2 - c2 = g2 comes from _root_gaps, and
+    The O(w^2) distance a2 - c2 = g2 comes from _geometry, and
     a2 - c1 = delta + g2: the naive differences keep no digits near w = 1e-8."""
-    _check_xw(x, w)
+    geo = _geometry(x, w)
     if w == 0:
         return 0.0
-    c1, c2, d1, d2 = q1 = q1_roots(x)
-    _, a2, _, _ = q2 = q2_roots(x, w)
-    g2 = _root_gaps(x, w, q1, q2)[1]
+    a2, g2 = geo.a2, geo.g2
     _check_w_floor(x, w, w * w, g2)
-    half_poles = 1 / (c1 * c2 * _d_gap(x) + g2) + 1 / g2 - 1 / (d1 - a2) - 1 / (d2 - a2)
+    half_poles = 1 / (geo.delta + g2) + 1 / g2 - 1 / (geo.d1 - a2) - 1 / (geo.d2 - a2)
     return 1 / (w * a2 * half_poles / 2 - w)  # g(a2) = +w*a2
 
 
 def a1_closed(x: float, w: float) -> float:
     """A1 in explicit root-product form: 2*w*a2 / Q2'(a2). Both inner roots
-    are O(x), so a2 - a1 = g1 + delta + g2 comes from _root_gaps and _d_gap:
-    the naive difference loses a factor of about 1/x."""
-    _check_xw(x, w)
+    are O(x), so a2 - a1 = g1 + delta + g2 comes from _geometry: the naive
+    difference loses a factor of about 1/x. So does b1 - a2 as w -> 1."""
+    geo = _geometry(x, w)
     if w == 0:
         return 0.0
-    c1, c2, _, _ = q1 = q1_roots(x)
-    _, a2, b1, b2 = q2 = q2_roots(x, w)
-    g1, g2, _, _ = _root_gaps(x, w, q1, q2)
-    return 2 * w * a2 / (x * x * (g1 + c1 * c2 * _d_gap(x) + g2) * (a2 - b1) * (a2 - b2))
+    aa = geo.g1 + geo.delta + geo.g2  # a2 - a1
+    return 2 * w * geo.a2 / (x * x * aa * geo.gab * (geo.b2 - geo.a2))
 
 
 # Two fixed Gauss-Legendre rule sizes; their disagreement is the error check.
@@ -249,13 +253,9 @@ def a2_quadrature(x: float, w: float) -> float:
     beyond the cut ends, so their peaks have theta-width
     eps = sqrt((c1 - a1)/(c2 - c1)) and its twin, which _end_mapped
     resolves."""
-    _check_xw(x, w)
-    c1, c2, d1, d2 = q1 = q1_roots(x)
-    _, _, b1, b2 = q2 = q2_roots(x, w)
-    delta = c1 * c2 * _d_gap(x)
-    # c1 - a1 and a2 - c2 in cancellation-free form: the naive differences
-    # keep no digits at w near 1e-8.
-    gap1, gap2, _, _ = _root_gaps(x, w, q1, q2)
+    geo = _geometry(x, w)
+    c1, d1, d2, b1, b2 = geo.c1, geo.d1, geo.d2, geo.b1, geo.b2
+    delta, gap1, gap2 = geo.delta, geo.g1, geo.g2
 
     def integrand(st2: np.ndarray, ct2: np.ndarray) -> np.ndarray:
         r = c1 + delta * st2
@@ -277,12 +277,11 @@ def a2_checkpoint(x: float, w: float) -> float:
     with u1 = 1/sqrt(1+4x), u2 = sqrt(1-4x), z(s) = (1+s)/(1-s). The poles
     a1 and a2 map to 2(c1 - a1)/((c1+1)(a1+1)) below -u1 and its twin above
     -u2, which set the peak widths for _end_mapped."""
-    _check_xw(x, w)
+    geo = _geometry(x, w)
+    c1, c2, d1, d2 = geo.c1, geo.c2, geo.d1, geo.d2
+    a1, a2, gap1, gap2 = geo.a1, geo.a2, geo.g1, geo.g2
     u1 = 1 / sqrt(1 + 4 * x)
     u2 = sqrt(1 - 4 * x)
-    c1, c2, d1, d2 = q1 = q1_roots(x)
-    a1, a2, _, _ = q2 = q2_roots(x, w)
-    gap1, gap2, _, _ = _root_gaps(x, w, q1, q2)
     lo, hi = -u1, -u2
     width = 16 * x * x * u1 / (1 + sqrt(1 - 16 * x * x))  # u1 - u2 without cancellation
 
@@ -382,14 +381,12 @@ def a2_closed(x: float, w: float) -> float:
 
     where u = (d1-c1)(d2-c2), v = (d2-c1)(d1-c2), S = (d1-c2)(d2-c2) and
     delta = c2 - c1; the R_J argument is positive for all four roots. The
-    short distances delta, a2 - a1, b2 - b1 and those of _root_gaps come
-    from cancellation-free forms, so small w (poles next to the cut) and
-    small x keep their digits. Near the singular curve the a2 and b1 terms
-    grow like (1 - 4x - w^2)^(-1/2) and cancel, which costs digits in
-    proportion."""
-    _check_xw(x, w)
-    c1, c2, d1, d2 = q1_roots(x)
-    delta = c1 * c2 * _d_gap(x)
+    short distances come from _geometry, so small w (poles next to the cut),
+    small x and w -> 1 keep their digits. Near the singular curve the a2 and
+    b1 terms grow like (1 - 4x - w^2)^(-1/2) and cancel, which costs digits
+    in proportion."""
+    geo = _geometry(x, w)
+    c1, c2, d1, d2, delta = geo.c1, geo.c2, geo.d1, geo.d2, geo.delta
     u = (d1 - c1) * (d2 - c2)
     v = (d2 - c1) * (d1 - c2)
     S = (d1 - c2) * (d2 - c2)
@@ -397,7 +394,7 @@ def a2_closed(x: float, w: float) -> float:
     total = i0
     if w > 0:
         k3 = 2 * delta * S / 3
-        for _, e1, e2, res in _q2_poles(x, w):
+        for _, e1, e2, res in _q2_poles(x, w, geo):
             # res / e2 and R_J / e2 stay O(1) as w -> 0, where e2 = c2 - a2 -> 0
             total += res / e2 * (i0 + k3 * (carlson_rj0(u, v, S * e1 / e2) / e2))
     return total / (pi * x)
@@ -406,7 +403,6 @@ def a2_closed(x: float, w: float) -> float:
 def alpha_closed(w: float, x: float) -> float:
     """alpha(w, x) = A1 + A2 via the residue term and the closed-form cut
     integral."""
-    _check_xw(x, w)
     return a1_closed(x, w) + a2_closed(x, w)
 
 
@@ -470,10 +466,10 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
     m_lam: z -> ((p+1) z - p(p+1)) / ((p-1) z + p(p-1)), p = ktil^(-1/2),
     sends to (1, -1, -1/k, 1/k); a final sign lands the roots on
     (-1, 1, 1/k, -1/k) with modulus k = J(ktil)."""
-    _check_xw(x, w)
+    geo = _geometry(x, w)
     if w <= 0:
         raise ValueError(f"legendre_reduce needs w > 0, got w={w}")
-    c1, c2, d1, d2 = q1_roots(x)
+    c1, c2, d1, d2 = geo.c1, geo.c2, geo.d1, geo.d2
     u2 = sqrt(1 - 4 * x)
     ktil = sqrt(1 - 16 * x * x)
     k2 = involution_J(ktil)
@@ -507,7 +503,7 @@ def legendre_reduce(x: float, w: float) -> EllipticReduction:
     # anchored on the exact targets t = -1 and 1 of c1 and c2:
     # sigma = t + delta, delta = det (rho - c) / ((C rho + D)(C c + D)), and
     # sigma^2 - 1 = delta (delta + 2t) keeps its digits where sigma rounds to t.
-    for i, (rho, e1, e2, res) in enumerate(_q2_poles(x, w)):
+    for i, (rho, e1, e2, res) in enumerate(_q2_poles(x, w, geo)):
         raw_terms.append((rho, res))
         if i < 2:  # a1 and a2, with rho - c = -e1 and -e2
             c, t, e = ((c1, -1.0, e1), (c2, 1.0, e2))[i]

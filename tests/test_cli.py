@@ -300,6 +300,12 @@ def test_json_output_to_file(tmp_path) -> None:
     assert payload["verb"] == "table"
     assert len(payload["rows"]) == 9
     assert payload["rows"][0] == {"N": 0, "j": 0, "A": 1}
+    # the reduction dump takes the same writer: the file holds stdout's bytes
+    dump = tmp_path / "reduction.json"
+    args = ("elliptic", "--x", "0.1", "--w", "0.2", "--dump-reduction")
+    res = run_cli(*args, "--out", str(dump))
+    assert res.returncode == 0 and res.stdout == ""
+    assert dump.read_text() == run_cli(*args).stdout
 
 
 def test_package_import_loads_no_scipy() -> None:

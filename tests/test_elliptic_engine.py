@@ -39,6 +39,10 @@ SMALL_X_POINTS = [(x, w) for x in (0.001, 0.01, 0.03) for w in (0.1, 0.9)]
 BAND_POINTS = [
     (x, sqrt(1 - 4 * x - eta)) for x in (0.001, 0.01, 0.03, 0.1, 0.2, 0.24) for eta in (1e-4, 1e-2)
 ]
+# b1 - 1 and b1 - a2 as w -> 1 at small x: a naive 1 + w^2 - 2s in b1 put
+# both A1 routes 5.2e-11 off at the first point and 1.8e-10 at the second,
+# a band point where 1 - 4x - w^2 = 1.17e-4.
+W_NEAR_ONE_POINTS = [(1e-6, 0.999), (0.0010098639841811686, 0.9979196888896462)]
 
 
 def _residual_scale(x: float, r: float) -> float:
@@ -191,14 +195,14 @@ def _a1_mpmath(x: float, w: float) -> float:
 def test_a1_closed_at_small_x() -> None:
     """a2 - a1 is about 4x^2 between two roots about x, so a naive difference
     lost a factor of 1/x: 1.3e-11 at (1e-6, 1e-5) and 3.2e-10 at (1e-8, 1e-150).
-    Then a seeded scan of x from 1e-8 to 0.24. w stays below 0.7 sqrt(1 - 4x):
-    as w -> 1, q2_roots' b1 itself loses digits, in both A1 routes alike."""
+    Then the points with w near 1 and a seeded scan of the whole domain,
+    x from 1e-8 to 0.24 and w up to sqrt(1 - 4x)."""
     rng = np.random.default_rng(17)
-    points = [(1e-6, 1e-5), (1e-8, 3.2e-5), (1e-8, 1e-150)]
+    points = [(1e-6, 1e-5), (1e-8, 3.2e-5), (1e-8, 1e-150)] + W_NEAR_ONE_POINTS
     for _ in range(200):
         x = 10 ** rng.uniform(-8, math.log10(0.24))
         scale = 10 ** rng.uniform(-150, 0) if rng.random() < 0.5 else rng.uniform(0, 1)
-        points.append((x, 0.7 * scale * sqrt(1 - 4 * x)))
+        points.append((x, scale * sqrt(1 - 4 * x)))
     for x, w in points:
         want = _a1_mpmath(x, w)
         assert abs(ee.a1_closed(x, w) / want - 1) <= 4e-15, (x, w)
@@ -250,19 +254,20 @@ def _a2_mpmath(x: float, w: float) -> float:
 @pytest.mark.parametrize(
     "x,w,tol",
     [(x, w, 5e-15) for x, w in GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS]
-    + [(x, w, 5e-13) for x, w in BAND_POINTS],
+    + [(x, w, 5e-13) for x, w in BAND_POINTS + W_NEAR_ONE_POINTS[1:]],
 )
 def test_a2_closed_against_mpmath(x: float, w: float, tol: float) -> None:
-    """Worst measured on these points: 1.8e-15 off the band, 1.1e-13 in it,
-    relative to 1 + A2. In the band the a2 and b1 terms cancel; that
-    cancellation is divided by pi x, so it is worst at small x."""
+    """Worst measured on these points: 4.6e-15 off the band, at (0.01, 0.9),
+    and 1.3e-13 in it, relative to 1 + A2. Near the singular curve the a2
+    and b1 terms cancel; that cancellation is divided by pi x, so it is
+    worst at small x."""
     ref = _a2_mpmath(x, w)
     assert abs(ee.a2_closed(x, w) - ref) <= tol * (1 + ref)
 
 
 @pytest.mark.parametrize(
     "route",
-    [ee.a1_residue, ee.a1_closed, ee.a2_quadrature, ee.a2_checkpoint,
+    [ee.q2_roots, ee.a1_residue, ee.a1_closed, ee.a2_quadrature, ee.a2_checkpoint,
      ee.a2_closed, lambda x, w: ee.alpha_closed(w, x), ee.legendre_reduce,
      ee.a2_pi_combination],
 )
@@ -271,6 +276,26 @@ def test_routes_refuse_the_singular_curve(route) -> None:
     instead of returning a huge number."""
     with pytest.raises(ValueError):
         route(0.1, sqrt(0.6))
+
+
+def test_alpha_closed_in_band() -> None:
+    """alpha_closed against the 30-digit oracle on a seeded band scan,
+    x = 10^U(-3, log10 0.24) and eps = 1 - 4x - w^2 = 10^U(-5, -1), plus the
+    points with w near 1. alpha's sensitivity to its inputs grows like
+    1 + w^2 / eps, which scales the tolerance. Worst measured:
+    1.3e-16 (1 + w^2 / eps); it was 1.0e-13 (1 + w^2 / eps), or 9.5e-10
+    relative, when b1 came from a naive 1 + w^2 - 2s."""
+    rng = np.random.default_rng(5)
+    points = list(W_NEAR_ONE_POINTS)
+    while len(points) < 42:
+        x = 10 ** rng.uniform(-3, math.log10(0.24))
+        w2 = 1 - 4 * x - 10 ** rng.uniform(-5, -1)
+        if w2 > 0:
+            points.append((x, sqrt(w2)))
+    for x, w in points:
+        want = _a1_mpmath(x, w) + _a2_mpmath(x, w)
+        eps = 1 - 4 * x - w * w
+        assert abs(ee.alpha_closed(w, x) / want - 1) <= 2e-15 * (1 + w * w / eps), (x, w)
 
 
 def test_a2_closed_guards() -> None:
