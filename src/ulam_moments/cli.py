@@ -279,6 +279,9 @@ def _check_closed_route() -> None:
     w, x = 0.9979196888896462, 0.0010098639841811686  # b1 - a2 is short as w -> 1
     closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
     assert abs(closed / con - 1) <= 1e-12, (w, x, closed, con)
+    w, x = math.sqrt(1 - 4 * 0.24 - 1e-10), 0.24  # 1e-10 from the curve
+    closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
+    assert abs(closed / con - 1) <= 1e-13, (w, x, closed, con)
 
 
 def _check_elliptic_k() -> None:

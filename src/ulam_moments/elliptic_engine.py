@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .genfun import principal_sqrt
+from .genfun import _curve_gap, principal_sqrt
 
 # Roots c2 and d1 collide as x -> 1/4 and the reduction's conditioning
 # collapses, so the whole module stays 4% inside the open domain.
@@ -77,7 +77,7 @@ def _geometry(x: float, w: float) -> _Geometry:
     the inner ones as exact reciprocals (c1 d2 = c2 d1 = a1 b2 = a2 b1 = 1),
     so the inversive products hold to the last bit. Every distance is a sum
     of positive parts. With s = sqrt(4x^2 + w^2), t = s + 2x and
-    eps = (1 - w)(1 + w) - 4x > 0:
+    eps = 1 - 4x - w^2 > 0 to a few ulps from genfun._curve_gap:
 
         s - 2x = w^2 / t,
         lo = 1 - s - 2x = eps / (1 - 2x + s),
@@ -99,7 +99,7 @@ def _geometry(x: float, w: float) -> _Geometry:
     w2 = w * w
     s = sqrt(4 * x * x + w2)
     t = s + 2 * x
-    lo = ((1 - w) * (1 + w) - 4 * x) / (1 - 2 * x + s)
+    lo = _curve_gap(x, w) / (1 - 2 * x + s)
     p = sqrt(lo * (lo + 4 * x))
     q = sqrt(1 + w2 + 2 * s)
     bm1 = (lo + p) / (2 * x)

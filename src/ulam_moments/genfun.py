@@ -8,12 +8,15 @@ kernel-power array. Two independent evaluation routes live here:
    ``exact_core.a_row``, each rounded once, with an a posteriori geometric
    tail estimate written back into the optional output record.
  * alpha_contour: the same quantity as a single contour mean over the unit
-   circle, using the algebraic square root of the quartic Q1. On |xi| = 1
-   the argument of the square root is real and positive, so the trapezoid
-   mean converges like exp(-n d), d the nearest singularity's distance from
-   the real theta axis; where d < 1/4 a Moebius map of the circle packs the
-   nodes there (Trefethen and Weideman, SIAM Rev. 56, 2014). From 64 nodes
-   it doubles until two levels agree to 1e-12, and raises past 2^18 nodes.
+   circle, in real arithmetic over theta in [0, pi]: there the integrand
+   1 / (g - w), g the algebraic square root of Q1 / xi^2, is real, positive
+   and even, and is formed as (g + w) / (eps + ...) from positive terms,
+   eps = 1 - 4x - w^2 correct to a few ulps, so it keeps its digits
+   up to the curve 4x + w^2 = 1. The trapezoid mean converges like
+   exp(-n d), d the nearest singularity's distance from the real theta
+   axis; where d < 1/4 a Moebius map of the circle packs the nodes there
+   (Trefethen and Weideman, SIAM Rev. 56, 2014). From 64 nodes it doubles
+   until two levels agree to 1e-12, and raises past 2^18 nodes.
 
 The closed-form route (complete elliptic integrals) lives in the companion
 elliptic module; tests pin all routes against each other.
@@ -24,8 +27,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
-
 import numpy as np
 
 from . import exact_core
@@ -58,41 +59,6 @@ class SeriesTruncation:
     a measured-ratio geometric estimate of the mass outside the table."""
 
     tail_bound: float | None = None
-
-
-def diagonal_extract(f: Callable[[complex], complex]) -> complex:
-    """Mean of f over the unit circle |xi| = 1, i.e. (1/2 pi i) * closed
-    integral of f(xi) dxi / xi.
-
-    This is the constant Fourier coefficient, so for f built from a product
-    of power series in xi and 1/xi it extracts the diagonal. Node doubling
-    reuses previous evaluations; raises ArithmeticError if the cap is hit
-    before two consecutive levels agree.
-    """
-    n = _CONTOUR_NODES
-
-    def level_sum(count: int, offset: float, step: float) -> complex:
-        tot = 0j
-        for k in range(count):
-            theta = offset + k * step
-            tot += f(cmath.exp(1j * theta))
-        return tot
-
-    step = 2 * math.pi / n
-    total = level_sum(n, 0.0, step)
-    prev = total / n
-    while n < _CONTOUR_MAX_NODES:
-        # new nodes sit halfway between the old ones
-        total += level_sum(n, step / 2, step)
-        n *= 2
-        step /= 2
-        cur = total / n
-        if abs(cur - prev) <= _CONTOUR_TOL * (1 + abs(cur)):
-            return cur
-        prev = cur
-    raise ArithmeticError(
-        f"contour mean did not converge within {_CONTOUR_MAX_NODES} nodes"
-    )
 
 
 def _check_alpha_domain(w: float, x: float) -> None:
@@ -159,47 +125,74 @@ def alpha_series(w: float, x: float, trunc: SeriesTruncation | None = None) -> f
     return total
 
 
-def alpha_contour(w: float, x: float) -> float:
-    """alpha as the contour mean of 1 / (sqrt(Q1(x, xi) / xi^2) - w) on
-    |xi| = 1, where Q1 is the spectral quartic.
+def _curve_gap(x: float, w: float) -> float:
+    """1 - 4x - w^2 to a few ulps. w^2 = p + e exactly (Veltkamp's split and
+    Dekker's product) and 1 - 4x = h + c exactly (TwoSum); near the curve
+    h - p is exact (Sterbenz), so only the last two additions round."""
+    p = w * w
+    big = 134217729.0 * w  # 2^27 + 1 splits w into two 26-bit halves
+    hi = big - (big - w)
+    lo = w - hi
+    e = ((hi * hi - p) + 2 * hi * lo) + lo * lo
+    h = 1 - 4 * x
+    v = h - 1
+    c = (1 - (h - v)) + (-4 * x - v)
+    return (h - p) + (c - e)
 
-    On the unit circle Q1/xi^2 = (1 - 2x cos(theta))^2 - 4x^2 is real and
-    positive for x < 1/4, so the trapezoid mean converges like exp(-n d),
-    where theta = i d is the nearest singularity (the pole of Q2, or the
-    branch point c2 at w = 0): cosh d = 1 + t, t = (1 - 4x - w^2) /
-    (2x(1 - 2x + s)), s = sqrt(4x^2 + w^2), so d = log1p(t + sqrt(t(t + 2)))
-    without cancellation, and d = inf at x = 0. Where d < 1/4 the mean is
-    taken over zeta, xi = (zeta + a)/(1 + a zeta), a = (1 - lam)/(1 + lam),
-    times the Jacobian zeta xi'/xi: the map keeps the circle and packs the
-    nodes near xi = 1. Its own pole lies about 2 lam from the circle and
-    the singularity's image about d/lam; lam = sqrt(d)/2 balances the two,
-    so node counts grow like d^(-1/2), not d^(-1). Above 1/4 the map saves
-    no nodes. Within about 1e-6 of 4x + w^2 = 1 the denominator cancels too
-    far for two levels to agree and the route raises ArithmeticError. The
-    imaginary part of the mean must vanish to 1e-10 relative to max(1, alpha)
-    or it is rejected.
+
+def alpha_contour(w: float, x: float) -> float:
+    """alpha as the mean over theta of 1 / (g - w) = (g + w) / (g^2 - w^2),
+    g = sqrt((1 - 2x cos(theta))^2 - 4x^2), the contour mean on |xi| = 1.
+
+    With u = 4x sin^2(theta/2), g^2 = (1 - 4x + u)(1 + u) and
+    g^2 - w^2 = eps + u(2 - 4x + u), eps = 1 - 4x - w^2 from _curve_gap:
+    every term is positive, so the integrand keeps its digits up to the
+    curve 4x + w^2 = 1. It is real, positive and even, so the trapezoid
+    mean over the period reads only the nodes in [0, pi] and converges like
+    exp(-n d), where theta = i d is the nearest singularity (the pole of
+    Q2, or the branch point c2 at w = 0): cosh d = 1 + t,
+    t = eps / (2x(1 - 2x + s)), s = sqrt(4x^2 + w^2), so
+    d = log1p(t + sqrt(t(t + 2))) without cancellation, and d = inf at
+    x = 0. Where d < 1/4 the mean is taken over phi with
+    tan(theta/2) = lam tan(phi/2), lam = sqrt(d)/2, times
+    dtheta/dphi = lam / r, r = lam^2 sin^2(phi/2) + cos^2(phi/2): on the
+    unit circle this is the Moebius map xi = (zeta + a)/(1 + a zeta),
+    a = (1 - lam)/(1 + lam), which packs the nodes near theta = 0 so that
+    node counts grow like d^(-1/2), not d^(-1) (Trefethen and Weideman,
+    SIAM Rev. 56, 2014). Above 1/4 the map saves no nodes and lam = 1.
+    From 64 nodes on the full period the count doubles until two levels
+    agree to 1e-12, and the route raises ArithmeticError past 2^18.
     """
     _check_alpha_domain(w, x)
-    from .elliptic_engine import q1_eval
-
-    def f(xi: complex) -> complex:
-        return 1 / (principal_sqrt(q1_eval(x, xi) / (xi * xi)) - w)
-
+    eps = _curve_gap(x, w)
     s = math.hypot(2 * x, w)
-    t = (1 - 4 * x - w * w) / (2 * x * (1 - 2 * x + s)) if x > 0 else math.inf
+    t = eps / (2 * x * (1 - 2 * x + s)) if x > 0 else math.inf
     d = math.log1p(t + math.sqrt(t * (t + 2)))
-    if d < 0.25:
-        lam = math.sqrt(d) / 2
-        a = (1 - lam) / (1 + lam)
-        unmapped = f
+    lam = math.sqrt(d) / 2 if d < 0.25 else 1.0
+    x4, h, b = 4 * x, 1 - 4 * x, 2 - 4 * x
 
-        def f(z: complex) -> complex:
-            b = 1 + a * z
-            return unmapped((z + a) / b) * z * (1 - a * a) / (b * (z + a))
+    def f(half_phi: float) -> float:
+        sig = lam * math.sin(half_phi)
+        kap = math.cos(half_phi)
+        r = sig * sig + kap * kap
+        u = x4 * sig * sig / r
+        return (math.sqrt((h + u) * (1 + u)) + w) * lam / (r * (eps + u * (b + u)))
 
-    val = diagonal_extract(f)
-    if abs(val.imag) >= 1e-10 * max(1.0, abs(val.real)):
-        raise ArithmeticError(
-            f"contour mean has non-vanishing imaginary part {val.imag:.3e}"
-        )
-    return val.real
+    # n nodes phi_k = 2 pi k / n on the period; f is even, so phi = 0 and
+    # phi = pi count once and each node in (0, pi) stands for two
+    n = _CONTOUR_NODES
+    step = math.pi / n  # in half_phi
+    total = f(0.0) + f(math.pi / 2) + 2 * sum(f(k * step) for k in range(1, n // 2))
+    prev = total / n
+    while n < _CONTOUR_MAX_NODES:
+        # new nodes sit halfway between the old ones
+        total += 2 * sum(f((k + 0.5) * step) for k in range(n // 2))
+        n *= 2
+        step /= 2
+        cur = total / n
+        if abs(cur - prev) <= _CONTOUR_TOL * (1 + cur):
+            return cur
+        prev = cur
+    raise ArithmeticError(
+        f"contour mean did not converge within {_CONTOUR_MAX_NODES} nodes"
+    )

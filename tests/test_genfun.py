@@ -1,9 +1,11 @@
 """Generating-function layer: diagonal extraction, series vs contour."""
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 import pytest
@@ -45,16 +47,38 @@ def test_principal_sqrt_nonnegative_imag_on_cut(t: float) -> None:
 # ------------------------------------------------------- diagonal extraction
 
 
+def diagonal_extract(f: Callable[[complex], complex], max_nodes: int = 1 << 18) -> complex:
+    """Mean of f over the unit circle |xi| = 1, i.e. (1/2 pi i) * closed
+    integral of f(xi) dxi / xi: the constant Fourier coefficient, so for f
+    built from a product of power series in xi and 1/xi it extracts the
+    diagonal. The complex-contour oracle of alpha_contour: from 64 nodes it
+    doubles, reusing every evaluation, until two levels agree to 1e-12, and
+    raises ArithmeticError past max_nodes."""
+    n = 64
+    step = 2 * math.pi / n
+    total = sum(f(cmath.exp(1j * k * step)) for k in range(n))
+    prev = total / n
+    while n < max_nodes:
+        total += sum(f(cmath.exp(1j * (k + 0.5) * step)) for k in range(n))
+        n *= 2
+        step /= 2
+        cur = total / n
+        if abs(cur - prev) <= 1e-12 * (1 + abs(cur)):
+            return cur
+        prev = cur
+    raise ArithmeticError(f"contour mean did not converge within {max_nodes} nodes")
+
+
 def test_diagonal_extract_laurent_polynomial() -> None:
     """The contour mean of a Laurent polynomial is its constant coefficient."""
-    val = genfun.diagonal_extract(lambda xi: 5 + 2 * xi**3 - 7 / xi**2)
+    val = diagonal_extract(lambda xi: 5 + 2 * xi**3 - 7 / xi**2)
     assert val == pytest.approx(5.0, abs=1e-13)
 
 
 def test_diagonal_extract_central_binomial() -> None:
     """diag of 1/(1 - x xi - y/xi) is sum C(2n,n)(xy)^n = (1-4xy)^(-1/2)."""
     for x, y in [(0.1, 0.2), (0.15, 0.3)]:
-        val = genfun.diagonal_extract(lambda xi: 1 / (1 - x * xi - y / xi))
+        val = diagonal_extract(lambda xi: 1 / (1 - x * xi - y / xi))
         assert val.imag == pytest.approx(0.0, abs=1e-12)
         assert val.real == pytest.approx(1 / math.sqrt(1 - 4 * x * y), rel=1e-11)
 
@@ -66,21 +90,20 @@ def test_nested_diagonal_reproduces_squared_kernel() -> None:
     x, y = 0.1, 0.2
 
     def outer(zeta: complex) -> complex:
-        return genfun.diagonal_extract(
+        return diagonal_extract(
             lambda xi: 1 / ((1 - x * xi - y * zeta) * (1 - x / xi - y / zeta))
         )
 
-    val = genfun.diagonal_extract(outer)
+    val = diagonal_extract(outer)
     u, v = x * x, y * y
     want = 1 / math.sqrt((1 - u - v) ** 2 - 4 * u * v)
     assert val.real == pytest.approx(want, rel=1e-10)
     assert val.imag == pytest.approx(0.0, abs=1e-10)
 
 
-def test_diagonal_extract_cap_raises(monkeypatch) -> None:
-    monkeypatch.setattr(genfun, "_CONTOUR_MAX_NODES", genfun._CONTOUR_NODES)
+def test_diagonal_extract_cap_raises() -> None:
     with pytest.raises(ArithmeticError, match="within 64 nodes"):
-        genfun.diagonal_extract(lambda xi: 1 / (xi - 1.0001))
+        diagonal_extract(lambda xi: 1 / (xi - 1.0001), max_nodes=64)
 
 
 # ---------------------------------------------------------------- the table
@@ -205,16 +228,19 @@ def test_alpha_contour_cap_raises(monkeypatch) -> None:
         genfun.alpha_contour(0.1, 0.2)
 
 
-def _alpha_mpmath(w: float, x: float) -> float:
-    """(1/pi) int_0^pi dtheta / (sqrt((1 - 2x cos)^2 - 4x^2) - w) at 30 digits."""
-    with mpmath.workdps(30):
+def _alpha_mpmath(w: float, x: float, dps: int = 30, peak: bool = False) -> float:
+    """(1/pi) int_0^pi dtheta / (sqrt((1 - 2x cos)^2 - 4x^2) - w) at dps
+    digits. With peak, breakpoints 10^-k (k = 1..14) sit next to theta = 0,
+    where the integrand peaks near the curve."""
+    with mpmath.workdps(dps):
         w, x = mpmath.mpf(w), mpmath.mpf(x)
 
         def f(th):
             return 1 / (mpmath.sqrt((1 - 2 * x * mpmath.cos(th)) ** 2 - 4 * x * x) - w)
 
         pi = mpmath.pi
-        return float(mpmath.quad(f, [0, pi / 4, pi / 2, pi]) / pi)
+        near = [mpmath.mpf(10) ** -k for k in range(14, 0, -1)] if peak else []
+        return float(mpmath.quad(f, [0, *near, pi / 4, pi / 2, pi]) / pi)
 
 
 def test_alpha_contour_band_within_512_nodes(monkeypatch) -> None:
@@ -233,23 +259,32 @@ def test_alpha_contour_band_within_512_nodes(monkeypatch) -> None:
         assert abs(genfun.alpha_contour(w, x) - want) <= 1e-12 * max(1.0, want), (w, x)
 
 
-def test_alpha_contour_near_curve_is_right_or_raises() -> None:
-    """Closer to the curve than the contour's floor, it raises rather than
-    return a wrong number."""
-    for eps in (1e-6, 1e-8):
-        for x in (0.001, 0.24):
+def test_alpha_routes_near_curve_match_mpmath() -> None:
+    """Up to 1e-12 from the curve 4x + w^2 = 1, where alpha reaches 2e7,
+    the contour and the closed form both return values within 1e-14
+    (relative above 1) of the 40-digit quadrature; neither raises."""
+    for eps in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        for x in (0.001, 0.1, 0.24):
             w = math.sqrt(1 - 4 * x - eps)
-            try:
-                got = genfun.alpha_contour(w, x)
-            except ArithmeticError:
-                continue
-            want = _alpha_mpmath(w, x)
-            assert abs(got - want) <= 1e-9 * max(1.0, want), (w, x)
+            want = _alpha_mpmath(w, x, dps=40, peak=True)
+            for route in (genfun.alpha_contour, alpha_closed):
+                got = route(w, x)
+                assert abs(got - want) <= 1e-14 * max(1.0, want), (route.__name__, eps, x)
 
 
-def test_alpha_contour_large_alpha_keeps_relative_imag_test() -> None:
-    """Where alpha is in the thousands, an imaginary part of 1e-10 is
-    rounding, not a failed contour: the value is returned, and it is right."""
+def test_curve_gap_to_a_few_ulps() -> None:
+    """1 - 4x - w^2 against exact rationals, on and off the curve."""
+    rng = random.Random(1971)
+    for _ in range(400):
+        x = rng.uniform(0.0, 0.25)
+        w = math.sqrt(max(0.0, 1 - 4 * x - 10 ** rng.uniform(-16, 0)))
+        want = 1 - 4 * Fraction(x) - Fraction(w) ** 2
+        got = genfun._curve_gap(x, w)
+        assert abs(Fraction(got) - want) <= 4 * 2.0**-53 * abs(want), (x, w)
+
+
+def test_alpha_contour_large_alpha_is_right() -> None:
+    """Where alpha is in the thousands the contour returns the right value."""
     x = 0.001
     for eps in (1e-6, 1e-5):
         w = math.sqrt(1 - 4 * x - eps)
@@ -259,10 +294,11 @@ def test_alpha_contour_large_alpha_keeps_relative_imag_test() -> None:
 
 def test_alpha_contour_unmapped_where_singularity_is_far() -> None:
     """Where the nearest singularity is at least 1/4 from the real theta
-    axis the nodes stay equispaced in theta: the value is exactly the plain
-    contour mean."""
+    axis the nodes stay equispaced in theta: the value is the plain complex
+    contour mean to rounding."""
     for w, x in [(0.0, 0.0), (0.3, 0.1), (0.1, 0.2), (0.5, 0.05), (0.0, 0.15)]:
-        val = genfun.diagonal_extract(
+        val = diagonal_extract(
             lambda xi: 1 / (principal_sqrt(q1_eval(x, xi) / (xi * xi)) - w)
         )
-        assert genfun.alpha_contour(w, x) == val.real
+        got = genfun.alpha_contour(w, x)
+        assert abs(got - val.real) <= 4e-16 * max(1.0, got), (w, x)
