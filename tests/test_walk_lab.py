@@ -1,6 +1,7 @@
 """Walk ensemble: exhaustive enumeration, Monte Carlo, and the A identity."""
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -234,6 +235,24 @@ _MC_PINNED = {
 @pytest.mark.parametrize("N, j", sorted(_MC_PINNED))
 def test_monte_carlo_pinned_to_step_kernel(N: int, j: int) -> None:
     assert walk_lab.a_monte_carlo(N, j, 70000, seed=2024) == _MC_PINNED[N, j]
+
+
+# sha256 over repr of every (estimate, stderr) of the grid below, in its
+# order: each N of both kernels (one block for N <= 4), a j that makes Q large,
+# seeds that wrap the counter states, and sample counts of one sample, one
+# partial tile and three chunks over two threads
+_MC_GRID_DIGEST = "cf66ed848ed6b85f332c50a8f61e4d8e7fee7d14e9cf45f7fa6692625f5d310b"
+
+
+def test_monte_carlo_stream_digest() -> None:
+    digest = hashlib.sha256()
+    for N, j, seed in product(range(1, 9), (0, 2, 30), (0, 1, 7, 2**63 + 11, -3)):
+        for samples, workers in ((1, 1), (5000, 1), (2 * walk_lab._MC_CHUNK + 5, 2)):
+            got = walk_lab.a_monte_carlo(N, j, samples, seed, workers)
+            if workers > 1:
+                assert got == walk_lab.a_monte_carlo(N, j, samples, seed), (N, j, seed)
+            digest.update(repr(got).encode())
+    assert digest.hexdigest() == _MC_GRID_DIGEST
 
 
 def test_monte_carlo_seed_42_regression() -> None:
