@@ -89,11 +89,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    est, err = walk_lab.a_monte_carlo(
-        args.N, args.j, args.samples, args.seed, workers=args.workers
-    )
+    est, err = walk_lab.a_monte_carlo(args.N, args.j, args.samples, args.seed, args.workers)
     exact = exact_core.a_array(args.N, args.j)
-    z = (est - exact) / err if err > 0 else 0.0
+    if err > 0:
+        z = (est - exact) / err
+    else:  # no spread: 0 on the exact value, else infinite with the sign of the miss
+        z = 0.0 if est == exact else math.copysign(math.inf, est - exact)
     _emit(
         ["N", "j", "samples", "seed", "estimate", "stderr", "exact", "z"],
         [[args.N, args.j, args.samples, args.seed, est, err, exact, z]],

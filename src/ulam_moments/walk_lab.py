@@ -14,8 +14,8 @@ transfer-matrix DP over (U, number of vertical steps, tau) in O(N^4) exact
 integer updates, never listing the paths themselves. A counter-based
 generator drives the Monte Carlo mode so the sample stream is a pure function
 of (seed, sample index), independent of chunking and worker count. A walk of
-2N <= 8 steps takes one lookup per sample in a table of R_N and tau; a longer
-one is decided by popcounts in the rotated coordinates X = U + V, Y = U - V,
+2N <= 8 steps takes one lookup per sample in a table of R_N and tau, counted
+per chunk; a longer one is decided by popcounts of X = U + V and Y = U - V,
 and only the returning samples, about 1/(pi N) of them, are walked for tau.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ UNIT_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 _MC_CHUNK = 1 << 16
 # Samples walked together: arrays this small stay in cache and in the heap
-_MC_TILE = 1 << 13
+_MC_TILE = 1 << 14
 # Steps of U and V for each 2-bit digit of a generator word (UNIT_STEPS order)
 _DU, _DV = (np.array([s[i] for s in UNIT_STEPS], dtype=np.int8) for i in (0, 1))
 # A block of L steps is the low 2L bits of a word, with table code
@@ -155,21 +155,20 @@ def _block_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a block, hits[r, code] counts its steps that end on U = 0 from the start
     U = r - 9 (rows 0 and 18 stand for |U| >= 9: zero), and loop_tau[code]
     is 1 + hits[9, code] if the block walks from (0, 0) back to (0, 0), else
-    0."""
-    du = np.zeros(_BLOCK_CODES, dtype=np.int8)
-    dv = np.zeros(_BLOCK_CODES, dtype=np.int8)
+    0. hits is filled from one running U per block length."""
+    du, dv = np.zeros((2, _BLOCK_CODES), dtype=np.int8)
     hits = np.zeros((2 * _HIT_REACH + 1, _BLOCK_CODES), dtype=np.int8)
     for L, off in _BLOCK_OFFSET.items():
         seg = slice(off, off + 4**L)
         bits = np.arange(4**L, dtype=np.uint16)
-        steps = [_DU[(bits >> 2 * t) & 3] for t in range(L)]
-        du[seg] = sum(steps)
-        dv[seg] = sum(_DV[(bits >> 2 * t) & 3] for t in range(L))
-        for r in range(1, 2 * _HIT_REACH):
-            u = np.full(bits.size, r - _HIT_REACH, dtype=np.int8)
-            for step in steps:
-                u += step
-                hits[r, seg] += u == 0
+        u = np.zeros(bits.size, dtype=np.int8)  # U after t + 1 steps from U = 0
+        for t in range(L):
+            digit = (bits >> 2 * t) & 3
+            u += _DU[digit]
+            dv[seg] += _DV[digit]
+            for p in range(-t - 1, t + 2):  # a start at U = -p is on the axis now
+                hits[_HIT_REACH - p, seg] += u == p
+        du[seg] = u
     loop_tau = np.where((du == 0) & (dv == 0), hits[_HIT_REACH] + 1, 0).astype(np.int8)
     du.flags.writeable = hits.flags.writeable = loop_tau.flags.writeable = False
     return du, hits, loop_tau
@@ -197,17 +196,18 @@ def _mc_chunk(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     stream (W = ceil(2N / 32)), two bits per step from the low bits up. Word c
     is splitmix64 of the state seed + (c+1)*golden mod 2^64, so in a tile the
     states of word w step by W*golden from one base. If 2N <= 8, the walk is
-    one block and loop_tau gives each sample's bin (0 if it does not return).
-    Else _returned keeps the samples whose X = U + V and Y = U - V both end at
-    0, by popcount, and only those are walked, 8 steps (or 2, 4, 6 at the
-    end) per lookup: hits, at the block's start U clipped to [-9, 9], counts
-    its visits to U = 0.
+    one block: tiles take each sample's tau (0 if it does not return) from
+    loop_tau, and the chunk counts each tau in 2..2N+1 once. Else _returned
+    keeps the samples whose X = U + V and Y = U - V both end at 0, by popcount,
+    and only those are walked, 8 steps (or 2, 4, 6 at the end) per lookup:
+    hits, at the block's start U clipped to [-9, 9], counts its visits to U = 0.
     """
     du, hits, loop_tau = _block_tables()
     hits = hits.reshape(-1)  # row r, code c at r * _BLOCK_CODES + c
     two_n = 2 * N
     words_per = (two_n + 31) // 32
     hist = np.zeros(two_n + 2, dtype=np.int64)
+    taus = np.empty(stop - start, dtype=np.int8)  # per sample, if 2N <= 8
     picked = []
     with np.errstate(over="ignore"):
         ramp = np.arange(min(_MC_TILE, stop - start), dtype=np.uint64)
@@ -225,12 +225,11 @@ def _mc_chunk(N: int, seed: int, start: int, stop: int) -> np.ndarray:
                 z ^= z >> 31
             if two_n <= 8:
                 code = (words[0] & np.uint64(4**two_n - 1)).view(np.int64)
-                code += _BLOCK_OFFSET[two_n]
-                hist += np.bincount(loop_tau[code], minlength=two_n + 2)
+                loop_tau[_BLOCK_OFFSET[two_n] :].take(code, out=taus[lo - start : lo - start + n])
             else:
                 picked.append(words.compress(_returned(words, N), axis=1))
-    if two_n <= 8:
-        hist[0] = 0
+    if two_n <= 8:  # a returning walk is on the axis at t = 0 and t = 2N
+        hist[2:] = [np.count_nonzero(taus == t) for t in range(2, two_n + 2)]
         return hist
     returners = np.concatenate(picked, axis=1)
     for part in range(0, returners.shape[1], _MC_TILE):
@@ -271,8 +270,7 @@ def a_monte_carlo(
     two_n = 2 * N
     if N == 0:
         return 1.0, 0.0
-    # tau = 0 cannot occur (t = 0 is always on the axis); keep a 0 placeholder
-    # so that qvals lines up with the histogram over tau
+    # qvals[tau] lines up with the histogram, where tau = 0 cannot occur
     qvals = [0] + [binomial(tau + j - 1, j) for tau in range(1, two_n + 2)]
     if max(16**N * qvals[-1], qvals[-1] ** 2 // 2) > float_info.max:  # exact int/float compare
         raise ValueError(f"a_monte_carlo({N},{j}) can leave float range")

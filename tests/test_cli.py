@@ -77,6 +77,22 @@ def test_mc_reproducible_and_worker_independent() -> None:
     assert abs(float(rows[0][7])) < 6.0
 
 
+@pytest.mark.parametrize("N, samples, want_z", [("10", "5", "-inf"), ("1", "1", "-inf"),
+                                                ("0", "3", "0")])
+def test_mc_z_without_spread(N: str, samples: str, want_z: str) -> None:
+    """With stderr 0, z is 0 only on the exact value; a miss is infinite with
+    its sign. None of these samples returns to (0, 0), so the estimate is 0;
+    at N = 0 every walk is empty and the estimate is exact."""
+    res = run_cli("mc", "--N", N, "--j", "0", "--samples", samples, "--seed", "1")
+    assert res.returncode == 0
+    header, rows = parse_csv(res.stdout)
+    row = dict(zip(header, rows[0]))
+    assert row["stderr"] == "0"
+    assert row["exact"] == str(exact_core.a_array(int(N), 0))
+    assert row["estimate"] == ("1" if N == "0" else "0")
+    assert row["z"] == want_z
+
+
 def test_mc_missing_seed_is_usage_error() -> None:
     res = run_cli("mc", "--N", "2", "--j", "1", "--samples", "1000")
     assert res.returncode == 64

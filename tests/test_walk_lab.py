@@ -130,18 +130,21 @@ def test_mc_chunk_matches_literal_decoding(N: int) -> None:
     6 and 8 steps; N = 16 fills one word exactly, N = 17 and 20 need two
     words per sample, N = 32 fills two and N = 33 ends on a 2-step block of
     a third. Seeds -1 and 2**64 + 5 wrap the counter states mod 2^64, and the
-    last range crosses a tile boundary."""
+    last range crosses a tile boundary. A returning walk is on the axis at
+    t = 0 and t = 2N, so bins 0 and 1 stay empty, and the bins count exactly
+    the returning samples."""
     j = 2
     tile = walk_lab._MC_TILE
     words_per = (2 * N + 31) // 32
     for seed, start, stop in ((0xDEADBEEF, 5, 605), (-1, 5, 605), (2**64 + 5, 5, 605),
                               (0xDEADBEEF, tile - 150, tile + 150)):
-        s1 = s2 = 0
+        s1 = s2 = returned = 0
         for sample in range(start, stop):
             words = [_splitmix64_word(seed, sample * words_per + w) for w in range(words_per)]
             digits = [(words[t // 32] >> (2 * (t % 32))) & 3 for t in range(2 * N)]
             stats = walk_lab.walk_stats(WalkPath(tuple(walk_lab.UNIT_STEPS[d] for d in digits)))
             qr = walk_lab.q_statistic(stats, j) if stats.returned else 0
+            returned += stats.returned
             s1 += qr
             s2 += qr * qr
         assert s1 > 0, (seed, start)
@@ -150,6 +153,8 @@ def test_mc_chunk_matches_literal_decoding(N: int) -> None:
         got = (sum(int(c) * qt for c, qt in zip(hist, q)),
                sum(int(c) * qt * qt for c, qt in zip(hist, q)))
         assert got == (s1, s2), (seed, start)
+        assert hist[0] == hist[1] == 0, (seed, start)
+        assert hist.sum() == returned, (seed, start)
 
 
 def _walk_returns(words: np.ndarray, steps: int) -> np.ndarray:
