@@ -207,7 +207,7 @@ def _mc_chunk(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     two_n = 2 * N
     words_per = (two_n + 31) // 32
     hist = np.zeros(two_n + 2, dtype=np.int64)
-    taus = np.empty(stop - start, dtype=np.int8)  # per sample, if 2N <= 8
+    taus = np.empty(stop - start if two_n <= 8 else 0, dtype=np.int8)  # each sample's tau
     picked = []
     with np.errstate(over="ignore"):
         ramp = np.arange(min(_MC_TILE, stop - start), dtype=np.uint64)

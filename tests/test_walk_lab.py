@@ -129,10 +129,12 @@ def test_mc_chunk_matches_literal_decoding(N: int) -> None:
     words through WalkPath and walk_stats. N = 1..4 end on a block of 2, 4,
     6 and 8 steps; N = 16 fills one word exactly, N = 17 and 20 need two
     words per sample, N = 32 fills two and N = 33 ends on a 2-step block of
-    a third. Seeds -1 and 2**64 + 5 wrap the counter states mod 2^64, and the
-    last range crosses a tile boundary. A returning walk is on the axis at
-    t = 0 and t = 2N, so bins 0 and 1 stay empty, and the bins count exactly
-    the returning samples."""
+    a third. Seeds -1 and 2**64 + 5 wrap the counter states mod 2^64. The
+    last range starts near sample _MC_TILE but is one tile, since tiles count
+    from start; chunks of several tiles run in the pinned values and the
+    stream digest below. A returning walk is on the axis at t = 0 and
+    t = 2N, so bins 0 and 1 stay empty, and the bins count exactly the
+    returning samples."""
     j = 2
     tile = walk_lab._MC_TILE
     words_per = (2 * N + 31) // 32
