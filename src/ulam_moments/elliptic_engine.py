@@ -196,7 +196,11 @@ def a1_closed(x: float, w: float) -> float:
     """A1 in explicit root-product form: 2*w*a2 / Q2'(a2). Both inner roots
     are O(x), so a2 - a1 = g1 + delta + g2 comes from _geometry: the naive
     difference loses a factor of about 1/x. So does b1 - a2 as w -> 1."""
-    geo = _geometry(x, w)
+    return _a1(x, w, _geometry(x, w))
+
+
+def _a1(x: float, w: float, geo: _Geometry) -> float:
+    """a1_closed on the geometry geo of (x, w)."""
     if w == 0:
         return 0.0
     aa = geo.g1 + geo.delta + geo.g2  # a2 - a1
@@ -385,7 +389,11 @@ def a2_closed(x: float, w: float) -> float:
     small x and w -> 1 keep their digits. Near the singular curve the a2 and
     b1 terms grow like (1 - 4x - w^2)^(-1/2) and cancel, which costs digits
     in proportion."""
-    geo = _geometry(x, w)
+    return _a2(x, w, _geometry(x, w))
+
+
+def _a2(x: float, w: float, geo: _Geometry) -> float:
+    """a2_closed on the geometry geo of (x, w)."""
     c1, c2, d1, d2, delta = geo.c1, geo.c2, geo.d1, geo.d2, geo.delta
     u = (d1 - c1) * (d2 - c2)
     v = (d2 - c1) * (d1 - c2)
@@ -402,8 +410,9 @@ def a2_closed(x: float, w: float) -> float:
 
 def alpha_closed(w: float, x: float) -> float:
     """alpha(w, x) = A1 + A2 via the residue term and the closed-form cut
-    integral."""
-    return a1_closed(x, w) + a2_closed(x, w)
+    integral, a1_closed + a2_closed on one shared _geometry."""
+    geo = _geometry(x, w)
+    return _a1(x, w, geo) + _a2(x, w, geo)
 
 
 def elliptic_K(k: float) -> float:

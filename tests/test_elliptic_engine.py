@@ -298,6 +298,32 @@ def test_alpha_closed_in_band() -> None:
         assert abs(ee.alpha_closed(w, x) / want - 1) <= 2e-15 * (1 + w * w / eps), (x, w)
 
 
+def test_alpha_closed_is_a1_plus_a2_on_one_geometry(monkeypatch) -> None:
+    """alpha_closed equals a1_closed + a2_closed bit for bit on a seeded grid
+    of w = 0, band (1 - 4x - w^2 = 10^U(-10, -2)) and interior points, and
+    builds the root geometry once per call."""
+    rng = np.random.default_rng(23)
+    points = []
+    for _ in range(60):
+        x = 10 ** rng.uniform(-4, math.log10(0.24))
+        band = sqrt(1 - 4 * x - 10 ** rng.uniform(-10, -2))
+        points += [(x, 0.0), (x, band), (x, rng.uniform(0, sqrt(1 - 4 * x)))]
+    for x, w in points:
+        assert ee.alpha_closed(w, x) == ee.a1_closed(x, w) + ee.a2_closed(x, w), (x, w)
+    builds = 0
+    geometry = ee._geometry
+
+    def counted(x: float, w: float):
+        nonlocal builds
+        builds += 1
+        return geometry(x, w)
+
+    monkeypatch.setattr(ee, "_geometry", counted)
+    for x, w in points:
+        ee.alpha_closed(w, x)
+    assert builds == len(points)
+
+
 def test_a2_closed_guards() -> None:
     with pytest.raises(ValueError):
         ee.a2_closed(0.0, 0.1)
