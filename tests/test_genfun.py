@@ -223,8 +223,11 @@ def test_alpha_domain_guards() -> None:
 
 
 def test_alpha_contour_cap_raises(monkeypatch) -> None:
-    monkeypatch.setattr(genfun, "_CONTOUR_MAX_NODES", genfun._CONTOUR_NODES)
-    with pytest.raises(ArithmeticError):
+    """The cap stops the doubling, after one level past the first here:
+    at (w, x) = (0.1, 0.2) the 16- and 32-node means differ by about 1e-7."""
+    cap = 2 * genfun._CONTOUR_NODES
+    monkeypatch.setattr(genfun, "_CONTOUR_MAX_NODES", cap)
+    with pytest.raises(ArithmeticError, match=f"within {cap} nodes"):
         genfun.alpha_contour(0.1, 0.2)
 
 
@@ -241,6 +244,34 @@ def _alpha_mpmath(w: float, x: float, dps: int = 30, peak: bool = False) -> floa
         pi = mpmath.pi
         near = [mpmath.mpf(10) ** -k for k in range(14, 0, -1)] if peak else []
         return float(mpmath.quad(f, [0, *near, pi / 4, pi / 2, pi]) / pi)
+
+
+def test_alpha_contour_early_stop_is_right(monkeypatch) -> None:
+    """Where the contour stops at 32 or 64 nodes, after one or two doublings
+    from its 16-node start, its value is within 1e-13 (relative above 1) of
+    alpha_closed on seeded interior points, and a few of them are checked
+    against the mpmath quadrature: two agreeing coarse levels are no false
+    agreement."""
+    rng = random.Random(2316)
+    pts = [(0.0, rng.uniform(0.001, 0.24)) for _ in range(10)]
+    for _ in range(50):
+        x = rng.uniform(0.001, 0.24)
+        pts.append((rng.uniform(0.0, 0.9 * math.sqrt(1 - 4 * x)), x))
+    for cap in (32, 64):
+        monkeypatch.setattr(genfun, "_CONTOUR_MAX_NODES", cap)
+        stopped = []
+        for w, x in pts:
+            try:
+                stopped.append((w, x, genfun.alpha_contour(w, x)))
+            except ArithmeticError:
+                continue
+        assert len(stopped) >= 15, cap
+        for w, x, got in stopped:
+            want = alpha_closed(w, x)
+            assert abs(got - want) <= 1e-13 * max(1.0, want), (cap, w, x)
+        for w, x, got in stopped[::8]:
+            want = _alpha_mpmath(w, x)
+            assert abs(got - want) <= 1e-13 * max(1.0, want), (cap, w, x)
 
 
 def test_alpha_contour_band_within_512_nodes(monkeypatch) -> None:
