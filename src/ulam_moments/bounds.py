@@ -149,6 +149,16 @@ _DEC_TOL = 1e-10  # a Newton decrement below this makes its step the last
 _LOG_X_MAX = math.log(X_MAX)
 
 
+def _saddle_start(N: int, j: int) -> tuple[float, float]:
+    """The point (x0, w0) that minimizes x^(-2N) w^(-j) eps^(-1/2),
+    eps = 1 - 4x - w^2, the objective with alpha replaced by its singular
+    behaviour C eps^(-1/2) near the curve: eps0 = 1/(1 + 4N + j),
+    x0 = N eps0 and w0 = sqrt(j eps0), so 4x0 + w0^2 = 1 - eps0. x0 is
+    capped at X_MAX, which keeps the start feasible."""
+    eps0 = 1 / (1 + 4 * N + j)
+    return min(N * eps0, X_MAX), math.sqrt(j * eps0)
+
+
 def chebyshev_a_bound(N: int, j: int) -> tuple[float, tuple[float, float]]:
     """Upper bound A(N, j) <= min over feasible (x, w) of
     alpha(w, x) / (w^j x^{2N}), returned with its point (x*, w*).
@@ -163,15 +173,18 @@ def chebyshev_a_bound(N: int, j: int) -> tuple[float, tuple[float, float]]:
     >= 0, hence convex, on the convex set t <= log X_MAX, 4e^t + e^{2s} < 1,
     so its local minimum is global. A damped Newton method with Armijo
     backtracking (Boyd and Vandenberghe, Convex Optimization, 2004, 9.5)
-    starts at (w, x) = (0.3, 0.1), with derivatives from a 9-point central
-    stencil whose step shrinks with the distance 1 - 4x - w^2 to the
-    singular curve. Boundary cases: for j = 0 the w power is absent and
-    the search runs over t alone at w = 0, where the minimum lies on
-    x = X_MAX for N >= 3. A step that would cross the face x = X_MAX is
-    projected onto it (seen for j = 1, N >= 8); while the t-derivative
-    there is negative, t stays fixed and Newton runs in s alone. The
-    stencil is then centred just inside the face, and its gradient is
-    carried to the face through the Hessian.
+    starts at the saddle point of x^(-2N) w^(-j) eps^(-1/2) from
+    _saddle_start, where eps = 1 - 4x - w^2 and alpha grows like
+    eps^(-1/2) near the singular curve. The derivatives come from a 6-point
+    stencil: the centre, +-h in s, +-h in t and the forward diagonal
+    (h, h), which gives the mixed derivative. So each step makes 5 new
+    evaluations. The step h shrinks with eps. Boundary cases: for j = 0
+    the w power is absent and the search runs over t alone at w = 0, where
+    the minimum lies on x = X_MAX for N >= 3. A step that would cross the
+    face x = X_MAX is projected onto it (seen for j = 1, N >= 8); while the
+    t-derivative there is negative, t stays fixed and Newton runs in s
+    alone. The stencil is then centred just inside the face, and its
+    gradient is carried to the face through the Hessian.
     """
     if N < 1 or j < 0:
         raise ValueError(f"chebyshev_a_bound needs N >= 1, j >= 0, got ({N},{j})")
@@ -190,14 +203,16 @@ def chebyshev_a_bound(N: int, j: int) -> tuple[float, tuple[float, float]]:
             best[:] = val, x, w, a
         return val
 
-    s, t = math.log(0.3) if j else -math.inf, math.log(0.1)
+    x0, w0 = _saddle_start(N, j)
+    s, t = math.log(w0) if j else -math.inf, math.log(x0)
     for _ in range(_NEWTON_STEPS):
         h = _H * min(1.0, 10 * (1 - 4 * math.exp(t) - math.exp(2 * s)))
         tc = min(t, _LOG_X_MAX - h)
-        f = {(a, b): g(s + a * h, tc + b * h) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+        f = {(a, b): g(s + a * h, tc + b * h)
+             for a, b in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1))}
         hss = (f[1, 0] - 2 * f[0, 0] + f[-1, 0]) / h**2 if j else 1.0
         htt = (f[0, 1] - 2 * f[0, 0] + f[0, -1]) / h**2
-        hst = (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1]) / (4 * h**2)
+        hst = (f[1, 1] - f[1, 0] - f[0, 1] + f[0, 0]) / h**2 if j else 0.0
         gs = (f[1, 0] - f[-1, 0]) / (2 * h) + hst * (t - tc)
         gt = (f[0, 1] - f[0, -1]) / (2 * h) + htt * (t - tc)
         if t >= _LOG_X_MAX and gt <= 0:  # on the face x = X_MAX: t stays fixed

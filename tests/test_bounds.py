@@ -220,6 +220,38 @@ def test_chebyshev_bound_beats_old_grid_and_is_a_local_minimum(old_search_grid) 
                         assert ratio(wn, xn) >= bound * (1 - 1e-12), (N, j, a, b)
 
 
+def test_chebyshev_saddle_start_is_feasible() -> None:
+    """The start 4 x0 + w0^2 = 1 - 1/(1 + 4N + j) < 1, x0 <= X_MAX, on
+    N, j <= 300, and w0 = 0 exactly at j = 0."""
+    for N in range(1, 301):
+        for j in range(301):
+            x0, w0 = bounds._saddle_start(N, j)
+            assert 0 < x0 <= bounds.X_MAX and 4 * x0 + w0 * w0 < 1, (N, j)
+            assert w0 > 0 if j else w0 == 0.0
+
+
+def test_chebyshev_evaluation_budget(monkeypatch) -> None:
+    """From the saddle start with 5 new evaluations per Newton step, the
+    70 cells N <= 10, j <= 6 take at most 2,300 alpha_closed calls (4,198
+    from the fixed start (0.3, 0.1) with a 9-point stencil), and the search
+    starts at the saddle point."""
+    calls: list[tuple[float, float]] = []
+
+    def counted(w: float, x: float) -> float:
+        calls.append((w, x))
+        return ee.alpha_closed(w, x)
+
+    monkeypatch.setattr(bounds, "alpha_closed", counted)
+    for N in range(1, 11):
+        for j in range(7):
+            start = len(calls)
+            bounds.chebyshev_a_bound(N, j)
+            x0, w0 = bounds._saddle_start(N, j)
+            if x0 < bounds.X_MAX:
+                assert calls[start] == pytest.approx((w0, x0), rel=1e-15), (N, j)
+    assert len(calls) <= 2300
+
+
 def test_chebyshev_guards() -> None:
     with pytest.raises(ValueError):
         bounds.chebyshev_a_bound(0, 1)
