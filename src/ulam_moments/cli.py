@@ -118,16 +118,9 @@ def _cmd_genfun(args) -> int:
 def _cmd_elliptic(args) -> int:
     x, w = args.x, args.w
     if args.dump_reduction:
-        red = ell.legendre_reduce(x, w)
-        payload = {
-            "moebius": list(red.moebius),
-            "modulus_k": red.modulus_k,
-            "xi_constant": red.xi_constant,
-            "det": red.det,
-            "pf_constant": red.pf_constant,
-            "pf_terms": [list(t) for t in red.pf_terms],
-            "raw_pf_terms": [list(t) for t in red.raw_pf_terms],
-        }
+        _, k_coefficient, terms = ell.a2_pi_combination(x, w)
+        payload = {"modulus_k": 4 * x, "k_coefficient": k_coefficient,
+                   "terms": [list(t) for t in terms]}
         _write(json.dumps(payload, indent=2) + "\n", args)
         return EXIT_OK
     a1 = ell.a1_closed(x, w)
@@ -274,9 +267,14 @@ def _check_closed_route() -> None:
         ref = ell.a2_quadrature(x, w)
         assert abs(ell.a2_closed(x, w) - ref) <= 1e-12 * (1 + ref)
         assert abs(ell.a2_checkpoint(x, w) - ref) < 1e-10
-    val, _, terms = ell.a2_pi_combination(x, w)
-    assert abs(val - ref) < 1e-8
-    assert len(terms) <= 4 and all(abs(lam) < 1 for _, lam in terms)
+    val, k_coefficient, terms = ell.a2_pi_combination(x, w)
+    assert abs(val - ref) <= 1e-12 * (1 + ref)
+    (coef_a1, n_a1), (coef_a2, n_a2) = terms
+    assert n_a1 < 0 < 16 * x * x < n_a2 < 1
+    assert abs(k_coefficient + coef_a1 + coef_a2) <= 1e-14 * max(1, abs(coef_a1), abs(coef_a2))
+    x, w = 1e-5, 0.5  # K/Pi at small x, where A2 is 8e-10
+    closed = ell.a2_closed(x, w)
+    assert abs(ell.a2_pi_combination(x, w)[0] - closed) <= 1e-12 * (1 + closed)
     w, x = 0.9979196888896462, 0.0010098639841811686  # b1 - a2 is short as w -> 1
     closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
     assert abs(closed / con - 1) <= 1e-12, (w, x, closed, con)
@@ -402,7 +400,7 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=float, required=True)
     p.add_argument(
         "--dump-reduction", action="store_true",
-        help="emit the Moebius reduction as JSON instead of CSV rows",
+        help="emit A2's Legendre form (modulus, K coefficient, Pi terms) as JSON",
     )
     common(p)
     p.set_defaults(func=_cmd_elliptic)

@@ -25,9 +25,10 @@ A2 has four independent evaluators:
   singularities absorbed, each half sinh-mapped from its end onto one fixed
   pair of rules (48 and 64 nodes) that must agree to 1e-12;
 - a2_checkpoint: the same on the Moebius-transformed interval;
-- a2_pi_combination (the headline identity): the reduction to Legendre
-  normal form and an exact combination of complete integrals K and Pi,
-  each even pair of Pi taken as one R_J.
+- a2_pi_combination (the headline identity): the symmetric substitution
+  s = (z-1)/(z+1) turns the cut integral into Legendre normal form of
+  modulus k = 4x, a combination of K(k) and two Pi(n, k) whose K terms
+  cancel, so two R_J remain.
 
 The complete Carlson integrals R_F(0, y, z) (which also gives K) and
 R_J(0, y, z, p) are evaluated here on the arithmetic-geometric mean, so
@@ -36,7 +37,6 @@ that importing the package loads no scipy.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isnan, pi, sqrt
 from sys import float_info
@@ -375,7 +375,7 @@ def a2_closed(x: float, w: float) -> float:
 
     With P(r) = (r-c1)(c2-r)(d1-r)(d2-r), -Q1 = x^2 P and the partial
     fractions Q1/Q2 = 1 + sum_rho res_rho / (r - rho) over the Q2 roots
-    (the residues of legendre_reduce),
+    (the residues of _q2_poles),
 
         A2 = (I0 + sum_rho res_rho I(rho)) / (pi x),
         I0 = int_{c1}^{c2} dr / sqrt(P) = 2 R_F(0, u, v),
@@ -422,151 +422,52 @@ def elliptic_K(k: float) -> float:
     return carlson_rf0((1 - k) * (1 + k), 1.0)
 
 
-def involution_J(k: float) -> float:
-    """J(k) = (1 - sqrt(k))^2 / (1 + sqrt(k))^2, an involution on (0, 1)."""
-    if not 0 < k < 1:
-        raise ValueError(f"involution_J needs k in (0, 1), got k={k}")
-    return ((1 - sqrt(k)) / (1 + sqrt(k))) ** 2
-
-
-@dataclass
-class EllipticReduction:
-    """Moebius reduction of the cut integral to Legendre normal form.
-
-    moebius holds (A, B, C, D) of Phi(z) = (Az + B)/(Cz + D), which maps
-    the Q1 roots (c1, c2, d1, d2) to (-1, 1, 1/k, -1/k) for the modulus
-    k = modulus_k. xi_constant is the quartic rescaling constant Xi in
-
-        -Q1(Phi^{-1}(s)) * (-C s + A)^4 = Xi * (1 - s^2)(1 - k^2 s^2).
-
-    pf_constant and raw_pf_terms give the partial fractions of Q1/Q2 in the
-    original variable (constant + sum residue/(z - pole)); pf_terms carries
-    each pole transported through Phi as (pole_image, coefficient) with
-    coefficient = residue * det / (C*pole + D)^2, and pf_n1 the matching
-    1 - 1/pole_image^2, formed without cancellation."""
-
-    moebius: tuple[float, float, float, float]
-    modulus_k: float
-    xi_constant: float
-    pf_constant: float
-    pf_terms: list[tuple[float, float]]
-    raw_pf_terms: list[tuple[float, float]]
-    det: float
-    pf_n1: list[float]
-
-
-def _phi_apply(m: tuple[float, ...], z: complex) -> complex:
-    return (m[0] * z + m[1]) / (m[2] * z + m[3])
-
-
-def _compose(m: tuple[float, ...], n: tuple[float, ...]) -> tuple[float, ...]:
-    """The Moebius map m o n; (a, b, c, d) stands for z -> (a z + b)/(c z + d)."""
-    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
-            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
-
-
-def legendre_reduce(x: float, w: float) -> EllipticReduction:
-    """Builds the interval-to-[-1,1] Moebius map and the partial fractions.
-
-    Stage 1, m_l: z -> (z-1)/(z+1), sends the four Q1 roots to the symmetric
-    quadruple (-u1, -u2, u2, u1) with u1 = 1/sqrt(1+4x), u2 = sqrt(1-4x),
-    whose modulus u2/u1 equals ktil = sqrt(1 - 16 x^2). Rescaling by -1/u2
-    gives (1/ktil, 1, -1, -1/ktil), which the root-cycling map
-    m_lam: z -> ((p+1) z - p(p+1)) / ((p-1) z + p(p-1)), p = ktil^(-1/2),
-    sends to (1, -1, -1/k, 1/k); a final sign lands the roots on
-    (-1, 1, 1/k, -1/k) with modulus k = J(ktil)."""
-    geo = _geometry(x, w)
-    if w <= 0:
-        raise ValueError(f"legendre_reduce needs w > 0, got w={w}")
-    c1, c2, d1, d2 = geo.c1, geo.c2, geo.d1, geo.d2
-    u2 = sqrt(1 - 4 * x)
-    ktil = sqrt(1 - 16 * x * x)
-    k2 = involution_J(ktil)
-    p = 1 / sqrt(ktil)
-    m_l = (1.0, -1.0, 1.0, 1.0)
-    m_scale = (-1.0 / u2, 0.0, 0.0, 1.0)
-    m_lam = (p + 1, -p * (p + 1), p - 1, p * (p - 1))
-    m_neg = (-1.0, 0.0, 0.0, 1.0)
-    m = _compose(_compose(_compose(m_neg, m_lam), m_scale), m_l)
-
-    # relative to the target: the outer ones, +-1/k, reach 1.6e6 at x = 0.02
-    targets = ((c1, -1.0), (c2, 1.0), (d1, 1 / k2), (d2, -1 / k2))
-    worst = max(abs(_phi_apply(m, r) - t) / max(1.0, abs(t)) for r, t in targets)
-    if worst > 1e-8:
-        raise ArithmeticError(
-            f"Moebius reduction ill-conditioned at (x={x}, w={w}): "
-            f"root-image error {worst:.3e}"
-        )
-
-    ma, mb, mc, md = m
-    det = ma * md - mb * mc
-    xi_constant = (-(x * x / k2**2) * (md + mc * c1) * (md + mc * c2)
-                   * (md + mc * d1) * (md + mc * d2))
-    if xi_constant <= 0:
-        raise ArithmeticError(f"nonpositive quartic constant {xi_constant}")
-
-    raw_terms: list[tuple[float, float]] = []
-    pf_terms: list[tuple[float, float]] = []
-    pf_n1: list[float] = []
-    # The inner poles sit O(w^2) from the cut ends, so their images are
-    # anchored on the exact targets t = -1 and 1 of c1 and c2:
-    # sigma = t + delta, delta = det (rho - c) / ((C rho + D)(C c + D)), and
-    # sigma^2 - 1 = delta (delta + 2t) keeps its digits where sigma rounds to t.
-    for i, (rho, e1, e2, res) in enumerate(_q2_poles(x, w, geo)):
-        raw_terms.append((rho, res))
-        if i < 2:  # a1 and a2, with rho - c = -e1 and -e2
-            c, t, e = ((c1, -1.0, e1), (c2, 1.0, e2))[i]
-            delta = -det * e / ((mc * rho + md) * (mc * c + md))
-            sigma, n1 = t + delta, delta * (delta + 2 * t)
-        else:
-            sigma = _phi_apply(m, rho)
-            n1 = (sigma - 1) * (sigma + 1)
-        if not n1 > 0:  # delta t > 0 for the anchored images, else |sigma| > 1
-            raise ArithmeticError(f"pole image {sigma} inside [-1, 1] at (x={x}, w={w})")
-        pf_terms.append((sigma, res * det / (mc * rho + md) ** 2))
-        pf_n1.append(n1 / (sigma * sigma))
-
-    return EllipticReduction(
-        moebius=m, modulus_k=k2, xi_constant=xi_constant, pf_constant=1.0,
-        pf_terms=pf_terms, raw_pf_terms=raw_terms, det=det, pf_n1=pf_n1,
-    )
-
-
 def a2_pi_combination(x: float, w: float) -> tuple[float, float, list[tuple[float, float]]]:
-    """A2 as a finite combination of complete elliptic integrals.
+    """A2 in complete elliptic integrals of modulus k = 4x, after the
+    symmetric substitution s = (z-1)/(z+1) (P. F. Byrd and M. D. Friedman,
+    Handbook of Elliptic Integrals, 1971, 218.00).
 
-    Through the reduction, each transported pole sigma contributes
+    Q1/z^2 = (1+4x)(u1^2 - v)(u2^2 - v)/(1-v)^2 and Q2/z^2 = Q1/z^2 - w^2
+    depend on v = s^2 alone, with u1 = 1/sqrt(1+4x), u2 = sqrt(1-4x). The
+    cut maps to s in (-u1, -u2), and each reciprocal pair of Q2 roots to one
+    pole v_rho = ((1-rho)/(1+rho))^2, rho = a1, a2. Then s^2 = u1^2 dn^2(u, k)
+    gives
 
-        integral_{-1}^{1} ds / ((s - sigma) sqrt((1-s^2)(1-k^2 s^2)))
-            = -(1/sigma) [Pi(k; 1/sigma) + Pi(k; -1/sigma)],
+        A2 = (2/pi) [C0 K(k) + sum_rho coef_rho Pi(n_rho, k)],
+        n_rho = (u1^2 - u2^2) / (u1^2 - v_rho),  C0 = (1+4x) / (1+4x-w^2),
 
-    with Pi(k; lam) = int_0^1 dt / (sqrt((1-t^2)(1-k^2 t^2)) (1 - lam t)), the
-    third kind in linear-denominator form, and the partial-fraction constant
-    contributes 2K(k). The overall scale is det / (pi * sqrt(Xi)); the change
-    of variables contributes the same determinant once more inside each
-    transported coefficient.
+    with coef_rho the v-residue of Q1/Q2 at v_rho over u1^2 - v_rho. As
+    Q1/Q2 vanishes at v = u1^2, C0 + sum coef_rho = 0 for w > 0, and with
+    Pi(n, k) = K(k) + (n/3) R_J(0, k'^2, 1, 1-n) (DLMF 19.25.2) the K terms
+    cancel: A2 = (2/(3 pi)) sum_rho coef_rho n_rho R_J(0, k'^2, 1, 1-n_rho),
+    where n_a1 < 0 < k^2 < n_a2 < 1. Every v-distance is a product of
+    positive parts from _geometry, as u1^2 - v_rho =
+    2 (rho - c1)(u1 + s_rho)/((1+c1)(1+rho)) with s_rho = (1-rho)/(1+rho).
+    R_J reads 1 - n_rho as a ratio of two of them (n_a2 rounds onto 1 at
+    tiny w), and w^2 meets the O(w^2) distance u1^2 - v_a1 first, so no w^4
+    is formed.
 
-    Returns (value, K-coefficient, terms) with terms = [(coefficient, lam)]
-    meaning value = K-coeff * 2K(k) + sum coeff * (Pi(k; lam) + Pi(k; -lam)).
-    Each even pair is 2K + (2 lam^2/3) R_J(0, k'^2, 1, 1 - lam^2), with the
-    1 - lam^2 that legendre_reduce carries (lam may round onto +-1 at tiny w).
-    """
-    red = legendre_reduce(x, w)
-    _, _, mc, md = red.moebius
-    k2 = red.modulus_k
-    pref = red.det / (pi * sqrt(red.xi_constant))
-
-    chat = red.pf_constant
-    for rho, res in red.raw_pf_terms:
-        chat += res * (-mc / (mc * rho + md))
-    k_coefficient = pref * chat
-
-    kk, kp2 = elliptic_K(k2), (1 - k2) * (1 + k2)
-    value = k_coefficient * 2 * kk
-    terms: list[tuple[float, float]] = []
-    for (sigma, coef), n1 in zip(red.pf_terms, red.pf_n1):
-        lam = 1.0 / sigma
-        c = pref * coef * (-lam)
-        value += c * (2 * kk + 2 * lam * lam / 3 * carlson_rj0(kp2, 1.0, n1))
-        terms.append((c, lam))
-    return value, k_coefficient, terms
+    Returns (value, C0, [(coef_rho, n_rho) for a1 and a2]); at w = 0,
+    ((2/pi) K(k), 1, [])."""
+    geo = _geometry(x, w)
+    if w == 0:
+        return 2 / pi * elliptic_K(4 * x), 1.0, []
+    _check_w_floor(x, w, w * w, geo.g1, geo.g2)
+    u1, u2 = 1 / sqrt(1 + 4 * x), sqrt(1 - 4 * x)
+    # (rho, u1^2 - v_rho, u2^2 - v_rho), with rho - c1 and rho - c2 from geo
+    poles = []
+    for rho, e1, e2 in ((geo.a1, -geo.g1, -(geo.delta + geo.g1)),
+                        (geo.a2, geo.delta + geo.g2, geo.g2)):
+        s = (1 - rho) / (1 + rho)
+        poles.append((rho, 2 * e1 * (u1 + s) / ((1 + geo.c1) * (1 + rho)),
+                      2 * e2 * (u2 + s) / ((1 + geo.c2) * (1 + rho))))
+    lead = (1 - w) * (1 + w) + 4 * x  # 1 + 4x - w^2, the v^2 coefficient of Q2/z^2
+    gap = poles[1][1] - poles[0][1]  # v_a1 - v_a2
+    value, terms = 0.0, []
+    for (rho, du1, du2), sign in zip(poles, (1, -1)):  # v_rho - v_other = sign * gap
+        one_v = 4 * rho / (1 + rho) ** 2  # 1 - v_rho
+        coef = sign * (w * w / du1) * one_v * one_v / (lead * gap)
+        n = 16 * x * x / ((1 + 4 * x) * du1)  # u1^2 - u2^2 = 16 x^2 / (1+4x)
+        value += coef * n * carlson_rj0((1 - 4 * x) * (1 + 4 * x), 1.0, du2 / du1)
+        terms.append((coef, n))
+    return 2 * value / (3 * pi), (1 + 4 * x) / lead, terms

@@ -147,26 +147,30 @@ def test_criterion_07_a1_equivalence() -> None:
 
 def test_criterion_08_pi_combination() -> None:
     """The complete-integral combination reproduces the cut quadrature to
-    1e-8 with at most 4 Pi terms, all |lambda| < 1, at six grid points; the
-    partial-fraction split behind it holds to 1e-10 at 1000 random complex
-    points."""
+    1e-12 (1 + A2) with two Pi(n, k) terms, n_a1 < 0 < k^2 < n_a2 < 1, at
+    six grid points; the partial-fraction split in v = ((z-1)/(z+1))^2
+    behind it, rebuilt from the returned terms, holds to 1e-10 at 1000
+    random complex points."""
     for x, w in PI_POINTS:
         ref = ee.a2_quadrature(x, w)
         val, k_coef, terms = ee.a2_pi_combination(x, w)
-        assert abs(val - ref) < 1e-8, (x, w, val, ref)
-        assert len(terms) <= 4, (x, w)
-        assert all(abs(lam) < 1 for _, lam in terms), (x, w)
+        assert abs(val - ref) <= 1e-12 * (1 + ref), (x, w, val, ref)
+        (_, n_a1), (_, n_a2) = terms
+        assert n_a1 < 0 < 16 * x * x < n_a2 < 1, (x, w)
         assert math.isfinite(k_coef)
     x, w = 0.1, 0.2
-    red = ee.legendre_reduce(x, w)
+    c0, terms = ee.a2_pi_combination(x, w)[1:]
+    spread = 16 * x * x / (1 + 4 * x)  # u1^2 - u2^2, with n = spread / (u1^2 - v_rho)
+    poles = [(1 / (1 + 4 * x) - spread / n, coef * spread / n) for coef, n in terms]
+    roots = ee.q2_roots(x, w)
     rng = np.random.default_rng(1234)
-    poles = [rho for rho, _ in red.raw_pf_terms]
     checked = 0
     while checked < 1000:
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if min(abs(z - rho) for rho in poles) < 0.05:
+        if min(abs(z - rho) for rho in roots) < 0.05 or abs(z + 1) < 0.05:
             continue
-        rhs = red.pf_constant + sum(res / (z - rho) for rho, res in red.raw_pf_terms)
+        v = ((z - 1) / (z + 1)) ** 2
+        rhs = c0 + sum(res / (v - v_rho) for v_rho, res in poles)
         lhs = ee.q1_eval(x, z) / ee.q2_eval(x, w, z)
         assert abs(lhs - rhs) < 1e-10, z
         checked += 1

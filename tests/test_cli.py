@@ -182,15 +182,18 @@ def test_elliptic_dump_reduction_json() -> None:
     res = run_cli("elliptic", "--x", "0.1", "--w", "0.2", "--dump-reduction")
     assert res.returncode == 0
     payload = json.loads(res.stdout)
-    assert len(payload["moebius"]) == 4
-    assert 0 < payload["modulus_k"] < 1
-    assert payload["det"] != 0
-    assert len(payload["pf_terms"]) <= 4
+    assert sorted(payload) == ["k_coefficient", "modulus_k", "terms"]
+    assert payload["modulus_k"] == 0.4
+    _, k_coef, terms = ee.a2_pi_combination(0.1, 0.2)
+    assert payload["k_coefficient"] == k_coef
+    assert payload["terms"] == [list(t) for t in terms]
+    (_, n_a1), (_, n_a2) = terms
+    assert n_a1 < 0 < 0.16 < n_a2 < 1
 
 
 def test_elliptic_dump_reduction_skips_the_a2_routes() -> None:
-    """The dump needs only legendre_reduce, so it runs none of the A2
-    routes and stays fast at w = 1e-8."""
+    """The dump reads only the K/Pi route's return, so it runs none of the
+    quadratures and stays fast at w = 1e-8."""
     t0 = time.perf_counter()
     res = run_cli("elliptic", "--x", "0.2", "--w", "1e-8", "--dump-reduction")
     elapsed = time.perf_counter() - t0

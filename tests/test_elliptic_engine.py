@@ -268,8 +268,7 @@ def test_a2_closed_against_mpmath(x: float, w: float, tol: float) -> None:
 @pytest.mark.parametrize(
     "route",
     [ee.q2_roots, ee.a1_residue, ee.a1_closed, ee.a2_quadrature, ee.a2_checkpoint,
-     ee.a2_closed, lambda x, w: ee.alpha_closed(w, x), ee.legendre_reduce,
-     ee.a2_pi_combination],
+     ee.a2_closed, lambda x, w: ee.alpha_closed(w, x), ee.a2_pi_combination],
 )
 def test_routes_refuse_the_singular_curve(route) -> None:
     """alpha diverges on the curve 4x + w^2 = 1: every route raises there
@@ -428,7 +427,7 @@ def test_routes_at_vanishing_w() -> None:
     tolerance of an independent route or raises ValueError or
     ArithmeticError, but never ZeroDivisionError; NaN fails the tolerance.
     A1 below 1e-300 is subnormal, so it is held to that absolute floor.
-    legendre_reduce has no reference and must fail in no other way."""
+    K/Pi raises only where a2_closed raises."""
     a2_pi = lambda x, w: ee.a2_pi_combination(x, w)[0]  # noqa: E731
     alpha = lambda x, w: ee.alpha_closed(w, x)  # noqa: E731
     misses = []
@@ -436,22 +435,25 @@ def test_routes_at_vanishing_w() -> None:
         for w in SWEEP_W:
             a1, a2 = ee.a1_closed(x, w), ee.a2_quadrature(x, w)
             ref = genfun.alpha_contour(w, x)
+            raised = set()
             for route, want, tol in (
                 (ee.a1_residue, a1, max(1e-12 * abs(a1), 1e-300)),
                 (ee.a2_checkpoint, a2, 1e-12 * (1 + a2)),
                 (ee.a2_closed, a2, 1e-12 * (1 + a2)),
-                (a2_pi, a2, 1e-8 * (1 + a2)),
+                (a2_pi, a2, 1e-12 * (1 + a2)),
                 (alpha, ref, 1e-9 * max(1, ref)),
-                (ee.legendre_reduce, None, None),
             ):
                 try:
                     got = route(x, w)
                 except ZeroDivisionError as exc:
                     misses.append((route, x, w, exc))
                     continue
-                except (ValueError, ArithmeticError):
+                except (ValueError, ArithmeticError) as exc:
+                    raised.add(route)
+                    if route is a2_pi and ee.a2_closed not in raised:
+                        misses.append((route, x, w, exc))
                     continue
-                if want is not None and not abs(got - want) <= tol:
+                if not abs(got - want) <= tol:
                     misses.append((route, x, w, got, want))
     assert not misses, (len(misses), misses[:5])
 
@@ -491,8 +493,8 @@ def test_elliptic_k_against_scipy(k: float) -> None:
 
 def _pi_even_pair(k: float, lam: float) -> float:
     """Pi(k; lam) + Pi(k; -lam) of the linear-denominator third-kind integral,
-    as a2_pi_combination forms it: 2K(k) + (2 lam^2/3) R_J(0, k'^2, 1, 1 - lam^2).
-    It is twice the conventional Pi(lam^2, k)."""
+    2K(k) + (2 lam^2/3) R_J(0, k'^2, 1, 1 - lam^2): twice the conventional
+    Pi(lam^2, k) by DLMF 19.25.2, the identity a2_pi_combination rests on."""
     n1 = (1 - lam) * (1 + lam)
     return 2 * ee.elliptic_K(k) + 2 * lam * lam / 3 * ee.carlson_rj0((1 - k) * (1 + k), 1.0, n1)
 
@@ -512,24 +514,21 @@ def test_elliptic_pi_against_adaptive_quadrature(k: float, lam: float) -> None:
     assert _pi_even_pair(k, lam) == pytest.approx(2 * want, rel=1e-10)
 
 
-def test_elliptic_pi_even_part_is_conventional_form() -> None:
-    """At the K/Pi route's own (k, lam), each even pair is twice the
-    squared-denominator integral, and the returned terms recombine to the
-    route's value as its docstring states."""
+def test_pi_combination_k_pi_identity() -> None:
+    """The returned (C0, terms) recombine to the route's value as
+    (2/pi) [C0 K(k) + sum coef Pi(n, k)], with 30-digit mpmath K and Pi, and
+    C0 + sum coef = 0. Kept off small w, where n_a2 rounds within 1e-12 of 1
+    and the recombination itself loses digits."""
     for x, w in PI_POINTS:
         value, k_coef, terms = ee.a2_pi_combination(x, w)
-        k = ee.legendre_reduce(x, w).modulus_k
-        total = k_coef * 2 * ee.elliptic_K(k)
-        for coef, lam in terms:
-            want, _ = scipy.integrate.quad(
-                lambda th: 1
-                / ((1 - lam * lam * math.sin(th) ** 2) * math.sqrt(1 - k * k * math.sin(th) ** 2)),
-                0, pi / 2, epsabs=1e-13, epsrel=1e-13, limit=200,
-            )
-            pair = _pi_even_pair(k, lam)
-            assert pair == pytest.approx(2 * want, rel=1e-9), (x, w, lam)
-            total += coef * pair
-        assert total == pytest.approx(value, rel=1e-14, abs=1e-14), (x, w)
+        with mpmath.workdps(30):
+            m = mpmath.mpf(4 * x) ** 2
+            want = k_coef * mpmath.ellipk(m)
+            want += sum(coef * mpmath.ellippi(n, m) for coef, n in terms)
+            want = float(2 * want / mpmath.pi)
+        assert abs(value - want) <= 2e-15 * (1 + want), (x, w)
+        coefs = [k_coef] + [c for c, _ in terms]
+        assert abs(sum(coefs)) <= 1e-14 * max(map(abs, coefs)), (x, w)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.99])
@@ -543,8 +542,8 @@ def test_elliptic_pi_near_unit_lambda(k: float) -> None:
         assert abs(_pi_even_pair(k, lam) / want - 1) <= 2e-15, lam
 
 
-# x in [0.02, 0.24] and w in [1e-8, 1e-3], where the inner pole images sit
-# O(w^2) outside +-1; at w = 1e-8 and x >= 0.2 they round onto -1
+# x in [0.02, 0.24] and w in [1e-8, 1e-3], where the poles sit O(w^2) beyond
+# the cut ends; at w = 1e-8 and x >= 0.2, n_a2 rounds onto 1
 PI_TINY_W_POINTS = [
     (x, w) for x in (0.02, 0.05, 0.1, 0.15, 0.2, 0.23, 0.24)
     for w in (1e-8, 3e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
@@ -552,20 +551,14 @@ PI_TINY_W_POINTS = [
 
 
 def test_pi_combination_tiny_w() -> None:
-    """K/Pi carries 1 - lam^2 from the anchored pole offsets into R_J, so it
-    keeps its digits down to w = 1e-8; at x = 0.001 the reduction's own
-    conditioning (3.7e-12 at w <= 1e-5) is the limit."""
+    """K/Pi reads 1 - n_rho as a ratio of two product-form distances, so it
+    keeps its digits down to w = 1e-8, where n_a2 rounds onto 1 and n_a1
+    reaches -1e16."""
     for x, w in PI_TINY_W_POINTS:
-        want = ee.a2_closed(x, w)
-        assert abs(ee.a2_pi_combination(x, w)[0] - want) <= 1e-13 * (1 + want), (x, w)
-    for w in (1e-8, 1e-6, 1e-5, 1e-3):
-        want = ee.a2_closed(0.001, w)
-        assert abs(ee.a2_pi_combination(0.001, w)[0] - want) <= 4e-12 * (1 + want), w
-    for x, w in PI_TINY_W_POINTS:
-        red = ee.legendre_reduce(x, w)
-        for (sigma, _), n1 in zip(red.pf_terms, red.pf_n1):
-            assert 0 < n1 <= 1
-            assert n1 == pytest.approx(1 - 1 / sigma**2, rel=1e-9, abs=1e-15)
+        value, _, ((_, n_a1), (_, n_a2)) = ee.a2_pi_combination(x, w)
+        want = _a2_mpmath(x, w)
+        assert abs(value - want) <= 2e-15 * (1 + want), (x, w)
+        assert n_a1 < 0 < 16 * x * x < n_a2 <= 1 + 1e-15, (x, w)
 
 
 # ------------------------------------------------------- Carlson integrals
@@ -585,8 +578,7 @@ def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
         monkeypatch.setattr(ee, f"carlson_{name}", record)
     for x, w in GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS:
         ee.a2_closed(x, w)
-        if x >= 0.04 and w >= 1e-5:  # inside the K/Pi route's own domain
-            ee.a2_pi_combination(x, w)
+        ee.a2_pi_combination(x, w)
     monkeypatch.undo()
     return seen
 
@@ -632,105 +624,78 @@ def test_carlson_guards() -> None:
             ee.carlson_rj0(*args)
 
 
-# ------------------------------------------------------------ involution J
-
-
-@pytest.mark.parametrize("k", [0.1, 0.3, 0.7, 0.95])
-def test_involution_j_is_involution(k: float) -> None:
-    assert ee.involution_J(ee.involution_J(k)) == pytest.approx(k, rel=1e-12)
-
-
-def test_involution_j_fixed_point() -> None:
-    kstar = (sqrt(2) - 1) ** 2
-    assert ee.involution_J(kstar) == pytest.approx(kstar, rel=1e-14)
-    with pytest.raises(ValueError):
-        ee.involution_J(0.0)
-    with pytest.raises(ValueError):
-        ee.involution_J(1.0)
-
-
-# -------------------------------------------------------- Legendre reduction
-
-
-@pytest.mark.parametrize("x,w", PI_POINTS)
-def test_legendre_reduce_root_images(x: float, w: float) -> None:
-    red = ee.legendre_reduce(x, w)
-    ma, mb, mc, md = red.moebius
-    k2 = red.modulus_k
-    assert k2 == ee.involution_J(sqrt(1 - 16 * x * x))
-    c1, c2, d1, d2 = ee.q1_roots(x)
-
-    def phi(z: float) -> float:
-        return (ma * z + mb) / (mc * z + md)
-
-    assert phi(c1) == pytest.approx(-1.0, abs=1e-10)
-    assert phi(c2) == pytest.approx(1.0, abs=1e-10)
-    assert phi(d1) == pytest.approx(1 / k2, rel=1e-10)
-    assert phi(d2) == pytest.approx(-1 / k2, rel=1e-10)
-    assert red.xi_constant > 0
-    assert red.det != 0
-    for sigma, _ in red.pf_terms:
-        assert abs(sigma) > 1
+# ------------------------------------------------------------ K/Pi route
 
 
 @pytest.mark.parametrize("x,w", PI_POINTS)
 def test_legendre_transform_identity(x: float, w: float) -> None:
-    """-Q1(Phi^inverse(s)) * (-C s + A)^4 = Xi (1 - s^2)(1 - k^2 s^2)."""
-    red = ee.legendre_reduce(x, w)
-    ma, mb, mc, md = red.moebius
-    k2 = red.modulus_k
-    for s in np.linspace(-0.9, 0.9, 7):
-        z = (md * s - mb) / (-mc * s + ma)
-        lhs = -ee.q1_eval(x, z) * (-mc * s + ma) ** 4
-        rhs = red.xi_constant * (1 - s * s) * (1 - k2 * k2 * s * s)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    """s = -u1 dn(u, k), k = 4x, walks z = (1+s)/(1-s) along the cut from c1
+    to c2, where -Q1/z^2 = (1+4x)(s^2 - u2^2)(u1^2 - s^2)/(1 - s^2)^2 equals
+    (1+4x) u1^4 k^4 sn^2 cn^2 / (1 - s^2)^2, and Q2/z^2 = Q1/z^2 - w^2."""
+    u1 = 1 / sqrt(1 + 4 * x)
+    c1, c2, _, _ = ee.q1_roots(x)
+    kk = ee.elliptic_K(4 * x)
+    for u in np.linspace(0, kk, 7):
+        sn, cn, dn, _ = scipy.special.ellipj(u, 16 * x * x)
+        s = -u1 * dn
+        z = (1 + s) / (1 - s)
+        assert c1 * (1 - 1e-12) <= z <= c2 * (1 + 1e-12)
+        want = (1 + 4 * x) * (u1 * 4 * x) ** 4 * (sn * cn) ** 2 / (1 - s * s) ** 2
+        assert -ee.q1_eval(x, z) / z**2 == pytest.approx(want, rel=1e-9, abs=1e-15)
+        assert ee.q2_eval(x, w, z) / z**2 == pytest.approx(ee.q1_eval(x, z) / z**2 - w * w, rel=1e-12)
 
 
 @pytest.mark.parametrize("x,w", [(0.1, 0.2), (0.15, 0.3)])
 def test_partial_fraction_identity_random_points(x: float, w: float) -> None:
-    """Q1/Q2 = 1 + sum res/(z - rho) at a thousand random complex points."""
-    red = ee.legendre_reduce(x, w)
+    """Q1/Q2 = C0 + sum r_rho / (v - v_rho) in v = ((z-1)/(z+1))^2 at a
+    thousand random complex points, with one pole v_rho = ((1-rho)/(1+rho))^2
+    per reciprocal pair of Q2 roots, all rebuilt from the K/Pi route's own
+    return through n = (u1^2 - u2^2)/(u1^2 - v_rho), coef = r_rho/(u1^2 - v_rho)."""
+    c0, terms = ee.a2_pi_combination(x, w)[1:]
+    spread = 16 * x * x / (1 + 4 * x)  # u1^2 - u2^2
+    poles = [(1 / (1 + 4 * x) - spread / n, coef * spread / n) for coef, n in terms]
+    roots = ee.q2_roots(x, w)
+    for (v_rho, _), rho in zip(poles, roots[:2]):
+        assert v_rho == pytest.approx(((1 - rho) / (1 + rho)) ** 2, rel=1e-12)
     rng = np.random.default_rng(1234)
-    poles = [rho for rho, _ in red.raw_pf_terms]
     checked = 0
     while checked < 1000:
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if min(abs(z - rho) for rho in poles) < 0.05:
+        if min(abs(z - rho) for rho in roots) < 0.05 or abs(z + 1) < 0.05:
             continue
-        rhs = red.pf_constant + sum(
-            res / (z - rho) for rho, res in red.raw_pf_terms
-        )
+        v = ((z - 1) / (z + 1)) ** 2
+        rhs = c0 + sum(res / (v - v_rho) for v_rho, res in poles)
         lhs = ee.q1_eval(x, z) / ee.q2_eval(x, w, z)
-        assert abs(lhs - rhs) < 1e-10
+        assert abs(lhs - rhs) < 1e-10, z
         checked += 1
 
 
 @pytest.mark.parametrize("x,w", PI_POINTS)
 def test_pi_combination_matches_quadrature(x: float, w: float) -> None:
     value, k_coef, terms = ee.a2_pi_combination(x, w)
-    assert value == pytest.approx(ee.a2_quadrature(x, w), abs=1e-10, rel=1e-10)
-    assert len(terms) <= 4
-    assert all(abs(lam) < 1 for _, lam in terms)
-    assert math.isfinite(k_coef)
+    want = _a2_mpmath(x, w)
+    assert abs(value - want) <= 2e-15 * (1 + want)
+    assert abs(value - ee.a2_quadrature(x, w)) <= 1e-13 * (1 + want)
+    assert len(terms) == 2
+    assert k_coef == pytest.approx((1 + 4 * x) / (1 + 4 * x - w * w), rel=1e-15)
 
 
 def test_pi_combination_small_w() -> None:
-    """K/Pi at small w: within 1e-10 of A2 by the 30-digit oracle, all
+    """K/Pi at small w: within 2e-15 (1 + A2) of the 30-digit oracle, all
     twelve points in under a second."""
     spent = 0.0
     for x, w in PI_SMALL_W_POINTS:
         start = time.perf_counter()
-        value, _, terms = ee.a2_pi_combination(x, w)
+        value, _, ((_, n_a1), (_, n_a2)) = ee.a2_pi_combination(x, w)
         spent += time.perf_counter() - start
-        assert abs(value - _a2_mpmath(x, w)) <= 1e-10, (x, w)
-        assert all(abs(lam) < 1 for _, lam in terms)
+        want = _a2_mpmath(x, w)
+        assert abs(value - want) <= 2e-15 * (1 + want), (x, w)
+        assert n_a1 < 0 < 16 * x * x < n_a2 < 1
     assert spent < 1.0
 
 
-# x <= 0.0355, where the outer root-image targets +-1/k are large (1.6e6 at
-# x = 0.02), so the reduction's check must be relative: the four small-x K/Pi
-# inputs of the benchmark, (0.0355, 0.924) next to the singular curve, and
-# both ends of x at small and near-maximal w
+# small x: the four small-x K/Pi inputs of the benchmark, (0.0355, 0.924)
+# next to the singular curve, and both ends of x at small and near-maximal w
 PI_SMALL_X_POINTS = [
     (0.005, 0.2), (0.01, 0.2), (0.015, 0.5), (0.02, 0.2), (0.0355, 0.924),
     (0.001, 0.01), (0.001, 0.9), (0.001, sqrt(1 - 0.004 - 1e-3)), (0.03, 0.05), (0.03, 0.9),
@@ -739,16 +704,43 @@ PI_SMALL_X_POINTS = [
 
 @pytest.mark.parametrize("x,w", PI_SMALL_X_POINTS)
 def test_pi_combination_small_x(x: float, w: float) -> None:
-    value, _, terms = ee.a2_pi_combination(x, w)
-    want = ee.a2_closed(x, w)
-    assert abs(value - want) <= 1e-10 * (1 + want)
-    assert all(abs(lam) < 1 for _, lam in terms)
+    value, _, ((_, n_a1), (_, n_a2)) = ee.a2_pi_combination(x, w)
+    want = _a2_mpmath(x, w)
+    assert abs(value - want) <= 2e-15 * (1 + want)
+    assert n_a1 < 0 < 16 * x * x < n_a2 < 1
+
+
+@pytest.mark.parametrize(
+    "x,w", GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS + W_NEAR_ONE_POINTS
+)
+def test_pi_combination_against_mpmath(x: float, w: float) -> None:
+    """K/Pi on every point set of the closed form's check, to 2e-15 (1 + A2);
+    at w = 0 it is (2/pi) K(4x)."""
+    value = ee.a2_pi_combination(x, w)[0]
+    want = _a2_mpmath(x, w)
+    assert abs(value - want) <= 2e-15 * (1 + want)
+    if w == 0:
+        assert value == 2 / pi * ee.elliptic_K(4 * x)
+
+
+def test_pi_combination_log_x() -> None:
+    """150 seeded points with x log-uniform on [1e-6, 0.24] and w uniform
+    on [0, sqrt(1 - 4x)): the route answers at every one, within 2e-15
+    (1 + A2) of the oracle."""
+    rng = np.random.default_rng(24)
+    for _ in range(150):
+        x = 10 ** rng.uniform(-6, math.log10(0.24))
+        w = rng.uniform(0, sqrt(1 - 4 * x))
+        want = _a2_mpmath(x, w)
+        assert abs(ee.a2_pi_combination(x, w)[0] - want) <= 2e-15 * (1 + want), (x, w)
 
 
 def test_reduction_guards() -> None:
-    with pytest.raises(ValueError):
-        ee.legendre_reduce(0.1, 0.0)
-    with pytest.raises(ValueError):
-        ee.legendre_reduce(0.2, 0.5)  # 4x + w^2 >= 1
-    with pytest.raises(ValueError):
-        ee.legendre_reduce(0.25, 0.1)
+    """K/Pi refuses points outside the domain and w whose square leaves the
+    normal float range; at w = 0 it returns (2/pi) K(4x) and no Pi terms."""
+    for x, w in ((0.1, -0.1), (0.2, 0.5), (0.25, 0.1), (0.0, 0.1)):
+        with pytest.raises(ValueError):
+            ee.a2_pi_combination(x, w)
+    with pytest.raises(ArithmeticError):
+        ee.a2_pi_combination(0.1, 1e-160)
+    assert ee.a2_pi_combination(0.1, 0.0) == (2 / pi * ee.elliptic_K(0.4), 1.0, [])
