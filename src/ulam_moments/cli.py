@@ -187,128 +187,134 @@ def _cmd_polya(args) -> int:
 # ---------------------------------------------------------- verify suites
 
 
+def _require(ok: bool, *context) -> None:
+    """AssertionError(*context) unless ok; unlike assert, it holds under python -O."""
+    if not ok:
+        raise AssertionError(*context)
+
+
 def _check_exact_spot_values() -> None:
-    assert exact_core.a_array(1, 0) == 4
-    assert exact_core.a_array(1, 1) == 10
-    assert exact_core.a_array(1, 2) == 18
-    assert exact_core.a_array(2, 0) == 36
-    assert exact_core.a_array(0, 7) == 1
-    assert exact_core.a_array_direct(2, 2) == exact_core.a_array(2, 2) == 300
-    assert exact_core.second_moment(2, 1) == 4
-    assert exact_core.second_moment(3, 2) == Fraction(19, 6)
-    assert exact_core.second_moment(4, 2) == Fraction(67, 6)
+    _require(exact_core.a_array(1, 0) == 4)
+    _require(exact_core.a_array(1, 1) == 10)
+    _require(exact_core.a_array(1, 2) == 18)
+    _require(exact_core.a_array(2, 0) == 36)
+    _require(exact_core.a_array(0, 7) == 1)
+    _require(exact_core.a_array_direct(2, 2) == exact_core.a_array(2, 2) == 300)
+    _require(exact_core.second_moment(2, 1) == 4)
+    _require(exact_core.second_moment(3, 2) == Fraction(19, 6))
+    _require(exact_core.second_moment(4, 2) == Fraction(67, 6))
 
 
 def _check_exact_identities() -> None:
     for N in range(21):
-        assert exact_core.a_row(N, 40) == [exact_core.a_array(N, j) for j in range(41)], N
+        _require(exact_core.a_row(N, 40) == [exact_core.a_array(N, j) for j in range(41)], N)
     for k in range(41):
         want = [exact_core.a_array(k - i, i) * math.perm(2 * k, i) ** 2 for i in range(k + 1)]
-        assert exact_core.moment_weights(k) == tuple(want), k
+        _require(exact_core.moment_weights(k) == tuple(want), k)
 
 
 def _check_perm_distribution() -> None:
     dist = perm_oracle.z_distribution(3, 2)
-    assert dist.counts == {0: 1, 1: 2, 2: 2, 3: 1}
-    assert perm_oracle.moment(dist, 2) == exact_core.second_moment(3, 2)
+    _require(dist.counts == {0: 1, 1: 2, 2: 2, 3: 1})
+    _require(perm_oracle.moment(dist, 2) == exact_core.second_moment(3, 2))
     d42 = perm_oracle.z_distribution(4, 2)
-    assert perm_oracle.moment(d42, 2) == exact_core.second_moment(4, 2)
-    assert perm_oracle.prob_at_least(4, 2, 1) >= perm_oracle.prob_at_least(4, 2, 2)
+    _require(perm_oracle.moment(d42, 2) == exact_core.second_moment(4, 2))
+    _require(perm_oracle.prob_at_least(4, 2, 1) >= perm_oracle.prob_at_least(4, 2, 2))
 
 
 def _check_walk_array() -> None:
     for N in range(9):
         for j in range(3):
-            assert walk_lab.a_from_walk_exact(N, j) == exact_core.a_array(N, j)
+            _require(walk_lab.a_from_walk_exact(N, j) == exact_core.a_array(N, j))
     for N in range(9):
         returned = sum(walk_lab.enumerate_walks(N))
-        assert Fraction(returned, 16**N) == walk_lab.return_probability(N)
+        _require(Fraction(returned, 16**N) == walk_lab.return_probability(N))
 
 
 def _check_walk_mc() -> None:
     many = 2 * walk_lab._MC_CHUNK + 5  # three chunks, so the thread pool runs
     for N in (2, 5):  # the one-block kernel and the popcount-and-walk kernel
         one = walk_lab.a_monte_carlo(N, 1, many, 7)
-        assert one == walk_lab.a_monte_carlo(N, 1, many, 7)
-        assert one == walk_lab.a_monte_carlo(N, 1, many, 7, workers=3)
-    assert abs(walk_lab.polya_series(0.4, 300) - (2 / math.pi) * ell.elliptic_K(0.4)) < 1e-10
+        _require(one == walk_lab.a_monte_carlo(N, 1, many, 7))
+        _require(one == walk_lab.a_monte_carlo(N, 1, many, 7, workers=3))
+    _require(abs(walk_lab.polya_series(0.4, 300) - (2 / math.pi) * ell.elliptic_K(0.4)) < 1e-10)
 
 
 def _check_alpha_routes() -> None:
     for w, x in ((0.1, 0.05), (0.3, 0.1)):
         ser = genfun.alpha_series(w, x)
         con = genfun.alpha_contour(w, x)
-        assert abs(ser - con) < 1e-9, (w, x, ser, con)
+        _require(abs(ser - con) < 1e-9, (w, x, ser, con))
 
 
 def _check_roots() -> None:
     x, w = 0.1, 0.2
     c1, c2, d1, d2 = ell.q1_roots(x)
     a1, a2, b1, b2 = ell.q2_roots(x, w)
-    assert abs(c1 * d2 - 1) < 1e-12 and abs(c2 * d1 - 1) < 1e-12
-    assert abs(a1 * b2 - 1) < 1e-12 and abs(a2 * b1 - 1) < 1e-12
-    assert 0 < a1 < c1 < c2 < a2 < 1 < b1 < d1 < d2 < b2
+    _require(abs(c1 * d2 - 1) < 1e-12 and abs(c2 * d1 - 1) < 1e-12)
+    _require(abs(a1 * b2 - 1) < 1e-12 and abs(a2 * b1 - 1) < 1e-12)
+    _require(0 < a1 < c1 < c2 < a2 < 1 < b1 < d1 < d2 < b2)
     for r in (c1, c2, d1, d2):
-        assert abs(ell.q1_eval(x, r)) < 1e-11
+        _require(abs(ell.q1_eval(x, r)) < 1e-11)
 
 
 def _check_a1_variants() -> None:
     for x, w in ((0.1, 0.2), (0.15, 0.3)):
         res = ell.a1_residue(x, w)
-        assert abs(ell.a1_closed(x, w) - res) <= 1e-11 * abs(res)
+        _require(abs(ell.a1_closed(x, w) - res) <= 1e-11 * abs(res))
 
 
 def _check_closed_route() -> None:
     for w, x in ((0.2, 0.1), (0.1, 0.05)):
         closed = ell.alpha_closed(w, x)
         con = genfun.alpha_contour(w, x)
-        assert abs(closed - con) < 1e-9, (w, x, closed, con)
+        _require(abs(closed - con) < 1e-9, (w, x, closed, con))
     for x, w in ((0.2, 1e-6), (0.1, 0.2)):  # K/Pi below reuses the last ref
         ref = ell.a2_quadrature(x, w)
-        assert abs(ell.a2_closed(x, w) - ref) <= 1e-12 * (1 + ref)
-        assert abs(ell.a2_checkpoint(x, w) - ref) < 1e-10
+        _require(abs(ell.a2_closed(x, w) - ref) <= 1e-12 * (1 + ref))
+        _require(abs(ell.a2_checkpoint(x, w) - ref) < 1e-10)
     val, k_coefficient, terms = ell.a2_pi_combination(x, w)
-    assert abs(val - ref) <= 1e-12 * (1 + ref)
+    _require(abs(val - ref) <= 1e-12 * (1 + ref))
     (coef_a1, n_a1), (coef_a2, n_a2) = terms
-    assert n_a1 < 0 < 16 * x * x < n_a2 < 1
-    assert abs(k_coefficient + coef_a1 + coef_a2) <= 1e-14 * max(1, abs(coef_a1), abs(coef_a2))
+    _require(n_a1 < 0 < 16 * x * x < n_a2 < 1)
+    _require(abs(k_coefficient + coef_a1 + coef_a2) <= 1e-14 * max(1, abs(coef_a1), abs(coef_a2)))
     x, w = 1e-5, 0.5  # K/Pi at small x, where A2 is 8e-10
     closed = ell.a2_closed(x, w)
-    assert abs(ell.a2_pi_combination(x, w)[0] - closed) <= 1e-12 * (1 + closed)
+    _require(abs(ell.a2_pi_combination(x, w)[0] - closed) <= 1e-12 * (1 + closed))
     w, x = 0.9979196888896462, 0.0010098639841811686  # b1 - a2 is short as w -> 1
     closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
-    assert abs(closed / con - 1) <= 1e-12, (w, x, closed, con)
+    _require(abs(closed / con - 1) <= 1e-12, (w, x, closed, con))
     w, x = math.sqrt(1 - 4 * 0.24 - 1e-10), 0.24  # 1e-10 from the curve
     closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
-    assert abs(closed / con - 1) <= 1e-13, (w, x, closed, con)
+    _require(abs(closed / con - 1) <= 1e-13, (w, x, closed, con))
 
 
 def _check_elliptic_k() -> None:
     series = (math.pi / 2) * walk_lab.polya_series(0.6, 400)
-    assert abs(ell.elliptic_K(0.6) - series) < 1e-12
+    _require(abs(ell.elliptic_K(0.6) - series) < 1e-12)
 
 
 def _check_bonferroni() -> None:
     b = bounds_mod.bonferroni_bracket(4, 2, 1, 2, 1)
-    assert b.upper == 3
-    assert b.lower == Fraction(-13, 12)
-    assert b.exact == Fraction(23, 24)
-    assert b.lower <= b.exact <= b.upper
+    _require(b.upper == 3)
+    _require(b.lower == Fraction(-13, 12))
+    _require(b.exact == Fraction(23, 24))
+    _require(b.lower <= b.exact <= b.upper)
 
 
 def _check_ratio_and_stirling() -> None:
     row = bounds_mod.ratio_table([(4, 2)])[0]
-    assert row.ratio == 67 / 54
+    _require(row.ratio == 67 / 54)
     approx_log, _ = bounds_mod.stirling_log_first_moment(2500, 50)
     exact_log = math.log(math.comb(2500, 50)) - math.log(math.factorial(50))
-    assert abs(approx_log - exact_log) <= 0.02 * abs(exact_log)
+    _require(abs(approx_log - exact_log) <= 0.02 * abs(exact_log))
 
 
 def _check_chebyshev() -> None:
     bound, _ = bounds_mod.chebyshev_a_bound(1, 1)
-    assert bound >= 10 - 1e-9
+    _require(bound >= 10 - 1e-9)
     bound20, _ = bounds_mod.chebyshev_a_bound(2, 0)
-    assert bound20 >= exact_core.a_array(2, 0) - 1e-9
+    _require(bound20 >= exact_core.a_array(2, 0) - 1e-9)
 
 
 SUITES: dict[str, list[tuple[str, callable]]] = {

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import isnan, pi, sqrt
+from math import asinh, isnan, pi, sqrt
 from sys import float_info
 from typing import Callable
 
@@ -215,15 +215,21 @@ _EPS_MIN = 1e-14
 
 @lru_cache(maxsize=None)
 def _gl_pair(sizes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of both rules on (0, 1), concatenated, and a 2-row weight
-    matrix: row i holds rule i's weights and zeros on the other's nodes."""
+    """The nodes of both rules on (0, 1), concatenated, and a weight matrix
+    whose column i holds rule i's weights, zeros elsewhere, once per half."""
     (t0, w0), (t1, w1) = (np.polynomial.legendre.leggauss(n) for n in sizes)
-    wts = np.block([[w0, np.zeros_like(w1)], [np.zeros_like(w0), w1]]) / 2
-    return (np.concatenate((t0, t1)) + 1) / 2, wts
+    wts = np.block([[w0, np.zeros_like(w1)], [np.zeros_like(w0), w1]]).T / 2
+    return (np.concatenate((t0, t1)) + 1) / 2, np.vstack((wts, wts))
+
+
+# (sin^2 theta, cos^2 theta) = (s2, 1 - s2) on the lower half, (1 - s2, s2) on the upper
+_HALF_OFFSET = np.array([[[0.0], [1.0]], [[1.0], [0.0]]])
+_HALF_SIGN = 1 - 2 * _HALF_OFFSET
 
 
 def _end_mapped(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                eps_lo: float, eps_hi: float, scale: float, failure: str) -> float:
+                eps_lo: float, eps_hi: float, scale: float,
+                what: str, x: float, w: float) -> float:
     """scale * int_0^{pi/2} integrand(sin^2 theta, cos^2 theta) dtheta.
 
     A pole at theta-distance eps beyond an end puts a peak of width eps
@@ -231,21 +237,23 @@ def _end_mapped(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     (P. R. Johnston and D. Elliott, Int. J. Numer. Meth. Engng 62, 2005), which
     spreads the peak over O(1) in v, so one fixed rule pair serves every eps.
     eps = 0 (no pole) maps with 1; eps floors at _EPS_MIN, as narrower peaks
-    hold a relative mass O(eps) below the tolerance. ArithmeticError(failure)
-    unless both rules agree to _GL_TOL (1 + |value|)."""
+    hold a relative mass O(eps) below the tolerance. ArithmeticError
+    ("{what} did not converge at (x, w)") unless both rules agree to
+    _GL_TOL (1 + |value|)."""
     t, wts = _gl_pair(_GL_SIZES)
-    eps = np.array([[eps_lo], [eps_hi]])
-    eps = np.where(eps > 0, np.maximum(eps, _EPS_MIN), 1.0)
-    top = np.arcsinh(pi / (4 * eps))
+    eps = [max(e, _EPS_MIN) if e > 0 else 1.0 for e in (eps_lo, eps_hi)]
+    top = [asinh(pi / (4 * e)) for e in eps]
+    eps, top, jac = np.array([eps, top, [scale * e * a for e, a in zip(eps, top)]])[:, :, None]
+    arg = top * t
     # theta on the lower half, pi/2 - theta on the upper: the distance to the
-    # nearer end, so that sin^2 and cos^2 keep their digits there
-    dist = eps * np.sinh(top * t)
-    s2, c2 = np.sin(dist) ** 2, np.cos(dist) ** 2
-    f = integrand(np.stack((s2[0], c2[1])), np.stack((c2[0], s2[1])))
-    coarse, fine = scale * (f * (eps * top) * np.cosh(top * t)).sum(axis=0) @ wts.T
+    # nearer end, at most pi/4, so sin^2 keeps its digits and 1 - s2 loses none
+    f = integrand(*(_HALF_OFFSET + _HALF_SIGN * np.sin(eps * np.sinh(arg)) ** 2))
+    f *= jac * np.cosh(arg)
+    coarse, fine = f.reshape(-1) @ wts
     gap = abs(fine - coarse)
     if not gap <= _GL_TOL * (1 + abs(fine)):
-        raise ArithmeticError(f"{failure}: rules of {_GL_SIZES} nodes differ by {gap:.2e}")
+        raise ArithmeticError(f"{what} did not converge at (x={x}, w={w}): "
+                              f"rules of {_GL_SIZES} nodes differ by {gap:.2e}")
     return float(fine)
 
 
@@ -262,14 +270,13 @@ def a2_quadrature(x: float, w: float) -> float:
     delta, gap1, gap2 = geo.delta, geo.g1, geo.g2
 
     def integrand(st2: np.ndarray, ct2: np.ndarray) -> np.ndarray:
-        r = c1 + delta * st2
-        mq2 = x * (delta * st2 + gap1) * (gap2 + delta * ct2) * (b1 - r) * (b2 - r)
-        return (2 * delta**2 / pi) * st2 * ct2 * np.sqrt((d1 - r) * (d2 - r)) / mq2
+        ds = delta * st2
+        r = c1 + ds
+        mq2 = (ds + gap1) * (gap2 + delta * ct2) * (b1 - r) * (b2 - r)  # -Q2 / x
+        return st2 * ct2 * np.sqrt((d1 - r) * (d2 - r)) / mq2
 
-    return _end_mapped(
-        integrand, sqrt(gap1 / delta), sqrt(gap2 / delta), 1.0,
-        f"A2 quadrature did not converge at (x={x}, w={w})",
-    )
+    return _end_mapped(integrand, sqrt(gap1 / delta), sqrt(gap2 / delta),
+                       2 * delta**2 / (pi * x), "A2 quadrature", x, w)
 
 
 def a2_checkpoint(x: float, w: float) -> float:
@@ -280,33 +287,28 @@ def a2_checkpoint(x: float, w: float) -> float:
 
     with u1 = 1/sqrt(1+4x), u2 = sqrt(1-4x), z(s) = (1+s)/(1-s). The poles
     a1 and a2 map to 2(c1 - a1)/((c1+1)(a1+1)) below -u1 and its twin above
-    -u2, which set the peak widths for _end_mapped."""
+    -u2, which set the peak widths for _end_mapped. On s = width sin^2(theta)
+    - u1, Q1/Q2 = Nm / (Nm + w^2 (1 - s^2)^2) with Nm = K sin^2 cos^2 P1 P2,
+    K = 4 x^2 width^2 / ((1 + u1)(1 + u2)) and d_i - z = P_i(s) / (1 - s),
+    P_i(s) = (d_i - 1) - (d_i + 1) s, a sum of positive terms on the cut."""
     geo = _geometry(x, w)
     c1, c2, d1, d2 = geo.c1, geo.c2, geo.d1, geo.d2
     a1, a2, gap1, gap2 = geo.a1, geo.a2, geo.g1, geo.g2
-    u1 = 1 / sqrt(1 + 4 * x)
-    u2 = sqrt(1 - 4 * x)
-    lo, hi = -u1, -u2
+    u1, u2 = 1 / sqrt(1 + 4 * x), sqrt(1 - 4 * x)
     width = 16 * x * x * u1 / (1 + sqrt(1 - 16 * x * x))  # u1 - u2 without cancellation
+    k = 4 * x * x * width * width / ((1 + u1) * (1 + u2))
 
     def integrand(st2: np.ndarray, ct2: np.ndarray) -> np.ndarray:
-        s = lo + width * st2
-        z = (1 + s) / (1 - s)
-        # -Q1(z) in product form, with the endpoint factors z - c1 and
-        # c2 - z written through s - lo and hi - s (exact by construction):
-        # z - c1 = 2 (s - lo) / ((1 - s)(1 - lo)), and likewise at c2.
-        mq1 = (x * x * (2 * width * st2 / ((1 - s) * (1 - lo)))
-               * (2 * width * ct2 / ((1 - s) * (1 - hi))) * (d1 - z) * (d2 - z))
-        mq2 = mq1 + (w * z) ** 2
-        smooth = np.sqrt((u1 - s) * (u2 - s))
-        return 2.0 * (mq1 / mq2) / smooth  # ds/sqrt((s-lo)(hi-s)) = 2 dth
+        s = width * st2 - u1
+        nm = k * st2 * ct2 * ((d1 - 1) - (d1 + 1) * s) * ((d2 - 1) - (d2 + 1) * s)
+        # ds / sqrt((s + u1)(-u2 - s)) = 2 dtheta, in the scale
+        return nm / ((nm + w * w * (1 - s * s) ** 2) * np.sqrt((u1 - s) * (u2 - s)))
 
     return _end_mapped(
         integrand,
         sqrt(2 * gap1 / ((c1 + 1) * (a1 + 1) * width)),
         sqrt(2 * gap2 / ((c2 + 1) * (a2 + 1) * width)),
-        2 / (pi * sqrt(1 + 4 * x)),
-        f"checkpoint quadrature did not converge at (x={x}, w={w})",
+        4 / (pi * sqrt(1 + 4 * x)), "checkpoint quadrature", x, w,
     )
 
 

@@ -86,42 +86,34 @@ def diag_table() -> np.ndarray:
     return tab
 
 
-def _geom_tail(last: float, ratio: float) -> float:
-    if last == 0.0:
-        return 0.0
-    if ratio >= 0.97:
-        return math.inf
-    return last * ratio / (1 - ratio)
-
-
 def alpha_series(w: float, x: float, trunc: SeriesTruncation | None = None) -> float:
     """Truncated double sum over the normalized diagonal table.
 
     Row N contributes (16 x^2)^N * sum_j tab[N, j] w^j. When an output
-    record is supplied, its tail_bound field receives the sum of two
-    measured-ratio geometric estimates (row tail in N, column tail in j).
+    record is supplied, its tail_bound field receives the measured-ratio
+    geometric estimate last * r / (1 - r), r = last / prev, of the row tail
+    in N plus those of the column tails in j, added row by row: 0 where
+    prev = 0, inf where r >= 0.97.
     """
     _check_alpha_domain(w, x)
     tab = diag_table()
-    ws = w ** np.arange(_J_MAX + 1)
-    rows = tab @ ws
     base = (16.0 * x * x) ** np.arange(_N_MAX + 1)
-    shells = rows * base
+    shells = (tab @ w ** np.arange(_J_MAX + 1)) * base
     total = float(shells.sum())
     if trunc is None:
         return total
 
-    n_tail = 0.0
-    if shells[-2] > 0:
-        n_tail = _geom_tail(float(shells[-1]), float(shells[-1] / shells[-2]))
-    j_tail = 0.0
-    if w > 0:
-        last_col = tab[:, -1] * w ** _J_MAX * base
-        prev_col = tab[:, -2] * w ** (_J_MAX - 1) * base
-        for lc, pc in zip(last_col, prev_col):
-            if pc > 0:
-                j_tail += _geom_tail(float(lc), float(lc / pc))
-    trunc.tail_bound = n_tail + j_tail
+    prev, last = shells[-2:].tolist()  # the row tail in N
+    r = last / prev if prev > 0 else 0.0
+    trunc.tail_bound = last * r / (1 - r) if r < 0.97 else math.inf
+    if w > 0:  # plus each row's column tail in j, all 0 at w = 0
+        prev = tab[:, -2] * w ** (_J_MAX - 1) * base
+        last = tab[:, -1] * w ** _J_MAX * base
+        # prev = 0 only where last is 0 or subnormal, so last * ratio = last^2 = 0
+        ratio = last / (prev + (prev == 0))
+        tails = last * ratio / (1 - np.minimum(ratio, 0.97))
+        tails[ratio >= 0.97] = math.inf
+        trunc.tail_bound += float(tails.cumsum()[-1])
     return total
 
 

@@ -295,6 +295,27 @@ def test_verify_all_suites() -> None:
     assert all(r[2] == "ok" for r in rows)
 
 
+def test_verify_fails_under_python_O() -> None:
+    """python -O strips assert statements; the verify checks raise
+    explicitly, so a broken A(N, j) still fails them there."""
+    probe = (
+        "import sys\n"
+        "from ulam_moments import cli, exact_core\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "exact_core.a_array = lambda N, j: -1\n"
+        "sys.exit(cli.main(['verify']))\n"
+    )
+    res = subprocess.run([sys.executable, "-O", "-c", probe],
+                         capture_output=True, text=True, timeout=240)
+    assert res.returncode == cli.EXIT_VERIFY, res.stderr
+    status = {(r[0], r[1]): r[2] for r in parse_csv(res.stdout)[1]}
+    for check in (("exact_core", "spot_values"), ("exact_core", "identities"),
+                  ("perm_oracle", "distribution"), ("walk_lab", "walk_equals_array"),
+                  ("genfun", "alpha_routes")):
+        assert status[check] == "FAIL: AssertionError", check
+
+
 @pytest.mark.parametrize(
     "suite,check",
     [(suite, check) for suite, checks in cli.SUITES.items() for check, _ in checks],
