@@ -1,9 +1,8 @@
 """Sweep the alpha evaluation routes over an (x, w) grid.
 
-Emits one CSV row per feasible grid point with the series, contour,
-closed-form and, for w > 0, K/Pi values (a1_closed + a2_pi_combination)
-plus the worst pairwise disagreement, so route drift shows up as a single
-sortable column.
+Emits one CSV row per feasible grid point with the series, contour and
+closed-form values plus the worst pairwise disagreement, so route drift
+shows up as a single sortable column.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 
-    lines = ["x,w,alpha_series,alpha_contour,alpha_closed,alpha_kpi,max_pairwise_diff"]
+    lines = ["x,w,alpha_series,alpha_contour,alpha_closed,max_pairwise_diff"]
     for x in parse_floats(args.xs):
         for w in parse_floats(args.ws):
             if 4 * x + w * w >= 1:
@@ -35,15 +34,9 @@ def main(argv: list[str] | None = None) -> int:
             trunc = genfun.SeriesTruncation()
             ser = genfun.alpha_series(w, x, trunc)
             con = genfun.alpha_contour(w, x)
-            vals = [ser, con, elliptic_engine.alpha_closed(w, x)]
-            kpi = ""
-            if w > 0:
-                vals.append(elliptic_engine.a1_closed(x, w)
-                            + elliptic_engine.a2_pi_combination(x, w)[0])
-                kpi = f"{vals[3]:.17g}"
-            spread = max(vals) - min(vals)
-            lines.append(f"{x:.17g},{w:.17g},{ser:.17g},{con:.17g},{vals[2]:.17g},"
-                         f"{kpi},{spread:.3e}")
+            clo = elliptic_engine.alpha_closed(w, x)
+            spread = max(ser, con, clo) - min(ser, con, clo)
+            lines.append(f"{x:.17g},{w:.17g},{ser:.17g},{con:.17g},{clo:.17g},{spread:.3e}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -125,15 +125,11 @@ def _cmd_elliptic(args) -> int:
         return EXIT_OK
     a1 = ell.a1_closed(x, w)
     a2_ref = ell.a2_quadrature(x, w)
-    a2_cl = ell.a2_closed(x, w)
-    rows = [[x, w, a1, a2_cl, a1 + a2_cl, "closed", abs(a2_cl - a2_ref)]]
-    a2_chk = ell.a2_checkpoint(x, w)
-    rows.append([x, w, a1, a2_chk, a1 + a2_chk, "checkpoint", abs(a2_chk - a2_ref)])
+    a2_cl = ell.a2_pi_combination(x, w)[0]  # the A2 of alpha_closed
+    routes = [("closed", a2_cl), ("checkpoint", ell.a2_checkpoint(x, w))]
     if w > 0:
-        a2_pi, _, _ = ell.a2_pi_combination(x, w)
-        rows.append(
-            [x, w, a1, a2_pi, a1 + a2_pi, "pi_combination", abs(a2_pi - a2_ref)]
-        )
+        routes.append(("pi_combination", a2_cl))
+    rows = [[x, w, a1, a2, a1 + a2, method, abs(a2 - a2_ref)] for method, a2 in routes]
     _emit(["x", "w", "a1", "a2", "alpha", "method", "residual"], rows, args)
     return EXIT_OK
 
@@ -269,18 +265,17 @@ def _check_closed_route() -> None:
         closed = ell.alpha_closed(w, x)
         con = genfun.alpha_contour(w, x)
         _require(abs(closed - con) < 1e-9, (w, x, closed, con))
-    for x, w in ((0.2, 1e-6), (0.1, 0.2)):  # K/Pi below reuses the last ref
+    for x, w in ((0.2, 1e-6), (0.1, 0.2)):  # the terms below are the last point's
         ref = ell.a2_quadrature(x, w)
-        _require(abs(ell.a2_closed(x, w) - ref) <= 1e-12 * (1 + ref))
+        val, k_coefficient, terms = ell.a2_pi_combination(x, w)
+        _require(abs(val - ref) <= 1e-12 * (1 + ref))
         _require(abs(ell.a2_checkpoint(x, w) - ref) < 1e-10)
-    val, k_coefficient, terms = ell.a2_pi_combination(x, w)
-    _require(abs(val - ref) <= 1e-12 * (1 + ref))
     (coef_a1, n_a1), (coef_a2, n_a2) = terms
     _require(n_a1 < 0 < 16 * x * x < n_a2 < 1)
     _require(abs(k_coefficient + coef_a1 + coef_a2) <= 1e-14 * max(1, abs(coef_a1), abs(coef_a2)))
     x, w = 1e-5, 0.5  # K/Pi at small x, where A2 is 8e-10
-    closed = ell.a2_closed(x, w)
-    _require(abs(ell.a2_pi_combination(x, w)[0] - closed) <= 1e-12 * (1 + closed))
+    ref = ell.a2_quadrature(x, w)
+    _require(abs(ell.a2_pi_combination(x, w)[0] - ref) <= 1e-12 * (1 + ref))
     w, x = 0.9979196888896462, 0.0010098639841811686  # b1 - a2 is short as w -> 1
     closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
     _require(abs(closed / con - 1) <= 1e-12, (w, x, closed, con))

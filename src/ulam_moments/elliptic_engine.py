@@ -16,21 +16,18 @@ cancellation; every route below, q1_roots and q2_roots read it.
 A1 has two evaluators: a1_residue, the log-derivative sum of the branch
 data at a2, and a1_closed, the root product 2 w a2 / Q2'(a2).
 
-A2 has four independent evaluators:
+A2 has three independent evaluators:
 
-- a2_closed (production, behind alpha_closed): Carlson's reduction of the
-  cut integral over the four real roots of Q1 to one R_F and four R_J, in
-  O(1) with no quadrature;
+- a2_pi_combination (production, behind alpha_closed): the symmetric
+  substitution s = (z-1)/(z+1) turns the cut integral into Legendre normal
+  form of modulus k = 4x, a combination of K(k) and two Pi(n, k) whose K
+  terms cancel, so two R_J remain, in O(1) with no quadrature;
 - a2_quadrature (reference): Gauss-Legendre on the interval, endpoint
   singularities absorbed, each half sinh-mapped from its end onto one fixed
   pair of rules (48 and 64 nodes) that must agree to 1e-12;
-- a2_checkpoint: the same on the Moebius-transformed interval;
-- a2_pi_combination (the headline identity): the symmetric substitution
-  s = (z-1)/(z+1) turns the cut integral into Legendre normal form of
-  modulus k = 4x, a combination of K(k) and two Pi(n, k) whose K terms
-  cancel, so two R_J remain.
+- a2_checkpoint: the same on the Moebius-transformed interval.
 
-The complete Carlson integrals R_F(0, y, z) (which also gives K) and
+The complete Carlson integrals R_F(0, y, z) (which gives K) and
 R_J(0, y, z, p) are evaluated here on the arithmetic-geometric mean, so
 that importing the package loads no scipy.
 """
@@ -46,8 +43,9 @@ import numpy as np
 
 from .genfun import _curve_gap, principal_sqrt
 
-# Roots c2 and d1 collide as x -> 1/4 and the reduction's conditioning
-# collapses, so the whole module stays 4% inside the open domain.
+# Roots c2 and d1 collide as x -> 1/4, where the cut meets its mirror and
+# the modulus k = 4x of the v-form reaches 1, so the whole module stays 4%
+# inside the open domain.
 X_MAX = 0.24
 
 
@@ -63,9 +61,8 @@ def q2_eval(x: float, w: float, xi: complex) -> complex:
 
 # The roots c1 < c2 < 1 < d1 < d2 of Q1 and a1 < a2 < 1 < b1 < b2 of Q2, and
 # every distance between them that a route reads: delta = c2 - c1,
-# dd = d2 - d1, g1 = c1 - a1, g2 = a2 - c2, gb1 = d1 - b1, gb2 = b2 - d2 and
-# gab = b1 - a2.
-_Geometry = namedtuple("_Geometry", "c1 c2 d1 d2 a1 a2 b1 b2 delta dd g1 g2 gb1 gb2 gab")
+# g1 = c1 - a1, g2 = a2 - c2 and gab = b1 - a2.
+_Geometry = namedtuple("_Geometry", "c1 c2 d1 d2 a1 a2 b1 b2 delta g1 g2 gab")
 
 
 def _geometry(x: float, w: float) -> _Geometry:
@@ -95,7 +92,7 @@ def _geometry(x: float, w: float) -> _Geometry:
     d1 = (1 - 2 * x + r1) / (2 * x)
     d2 = (1 + 2 * x + r2) / (2 * x)
     c1, c2 = 1 / d2, 1 / d1
-    dd = 2 + 4 / (r2 + r1)
+    dd = 2 + 4 / (r2 + r1)  # d2 - d1
     w2 = w * w
     s = sqrt(4 * x * x + w2)
     t = s + 2 * x
@@ -107,10 +104,10 @@ def _geometry(x: float, w: float) -> _Geometry:
     a1, a2 = 1 / b2, 1 / b1
     if w == 0:  # the Q1 roots, bit for bit
         a1, a2, b1, b2 = c1, c2, d1, d2
-    gb1 = w2 * (1 + (2 - t) / (r1 + p)) / (2 * x * t)
-    gb2 = w2 * (1 / t + (1 + 2 / t) / (q + r2)) / (2 * x)
-    return _Geometry(c1, c2, d1, d2, a1, a2, b1, b2, c1 * c2 * dd, dd,
-                     gb2 * c1 * a1, gb1 * c2 * a2, gb1, gb2, bm1 * (2 + bm1) / b1)
+    gb1 = w2 * (1 + (2 - t) / (r1 + p)) / (2 * x * t)  # d1 - b1
+    gb2 = w2 * (1 / t + (1 + 2 / t) / (q + r2)) / (2 * x)  # b2 - d2
+    return _Geometry(c1, c2, d1, d2, a1, a2, b1, b2, c1 * c2 * dd,
+                     gb2 * c1 * a1, gb1 * c2 * a2, bm1 * (2 + bm1) / b1)
 
 
 def q1_roots(x: float) -> tuple[float, float, float, float]:
@@ -127,39 +124,23 @@ def q2_roots(x: float, w: float) -> tuple[float, float, float, float]:
 
 
 def _check_w_floor(x: float, w: float, *shrinking: float) -> None:
-    """ArithmeticError unless w^2, the gaps of _geometry and the residue
-    numerators w^2 rho^2 that a route uses are all at least 2^-1000.
+    """ArithmeticError unless w^2 and the distances of _geometry that a
+    route divides by are all at least 2^-1000.
 
-    Floats keep 53 bits from 2^-1022 up and overflow at 2^1024. For x >= 2^-11
-    every other factor of the routes (roots, their distances, S, residue
-    denominators) lies within 2^+-22 of 1, and the largest quotient, the R_J
-    argument p = S (delta + g2) / g2 < 4 / g2 of a2_closed, meets at most
-    4 sqrt(u) p < 16 / (x g2) in R_J: the floor leaves 2^22 on both sides.
-    Below it, wrong values and NaN came out from about w = 1e-152."""
+    Floats keep 53 bits from 2^-1022 up and overflow at 2^1024. The v-form
+    of a2_pi_combination reads the distances u1^2 - v_rho and u2^2 - v_rho,
+    which are g1 and delta + g1 at a1, delta + g2 and g2 at a2, each times
+    a factor within 2^+-4 of 1. So its R_J argument p = du2/du1 is about
+    1 + delta/g1 at a1 and g2/(delta + g2) at a2, and with w^2, g1, g2 and
+    delta (all below 1) at least 2^-1000 it stays within 2^+-1005: the floor
+    leaves R_J 2^17 on both sides. At small w, g1 is w^2/8 to w^2/4 and g2
+    at least w^2/4, so the floor sets in at w^2 between 2^-1000 and 2^-997.
+    The check of delta refuses x below about 2^-501. Without the floor,
+    a1_residue returned wrong values from w = 1e-154, the v-form lost digits
+    from w = 1e-155 (1.5e-12 relative at 1e-156), and both divided by zero
+    once w^2 underflowed, below w = 1e-162."""
     if min(shrinking) < 2.0**-1000:
-        raise ArithmeticError(f"w too small for float range at (x={x}, w={w})")
-
-
-def _q2_poles(x: float, w: float, geo: _Geometry) -> list[tuple[float, float, float, float]]:
-    """(rho, c1 - rho, c2 - rho, res_rho) for the four Q2 roots, where
-    res_rho = w^2 rho^2 / (x^2 prod_{sigma != rho} (rho - sigma)) is the
-    residue of Q1/Q2 at rho. The short distances come from the geometry geo,
-    so poles next to the cut (small w) and next to 1 keep their digits.
-    Needs w > 0."""
-    a1, a2, b1, b2 = geo.a1, geo.a2, geo.b1, geo.b2
-    g1, g2, delta, gab = geo.g1, geo.g2, geo.delta, geo.gab
-    _check_w_floor(x, w, w * w, g1, g2, w * w * a1 * a1)  # a1 is the smallest root
-    aa = g1 + delta + g2  # a2 - a1
-    bb = geo.gb1 + geo.dd + geo.gb2  # b2 - b1
-    return [
-        (rho, e1, e2, w * w * rho * rho / (x * x * prod))
-        for rho, e1, e2, prod in (
-            (a1, g1, delta + g1, -aa * (a1 - b1) * (a1 - b2)),
-            (a2, -(delta + g2), -g2, -aa * gab * (a2 - b2)),
-            (b1, geo.c1 - b1, geo.c2 - b1, -(b1 - a1) * gab * bb),
-            (b2, geo.c1 - b2, geo.c2 - b2, (b2 - a1) * (b2 - a2) * bb),
-        )
-    ]
+        raise ArithmeticError(f"w or x too small for float range at (x={x}, w={w})")
 
 
 def g_tilde(x: float, xi: complex) -> complex:
@@ -290,25 +271,32 @@ def a2_checkpoint(x: float, w: float) -> float:
     -u2, which set the peak widths for _end_mapped. On s = width sin^2(theta)
     - u1, Q1/Q2 = Nm / (Nm + w^2 (1 - s^2)^2) with Nm = K sin^2 cos^2 P1 P2,
     K = 4 x^2 width^2 / ((1 + u1)(1 + u2)) and d_i - z = P_i(s) / (1 - s),
-    P_i(s) = (d_i - 1) - (d_i + 1) s, a sum of positive terms on the cut."""
+    P_i(s) = (d_i - 1) - (d_i + 1) s, a sum of positive terms on the cut.
+    As s -> -1 at small x, 1 - s^2 is formed as (om + width sin^2 theta)
+    (1 + u1 - width sin^2 theta) with om = 1 - u1 = 4x / (sqrt(1+4x)
+    (sqrt(1+4x) + 1))."""
     geo = _geometry(x, w)
     c1, c2, d1, d2 = geo.c1, geo.c2, geo.d1, geo.d2
     a1, a2, gap1, gap2 = geo.a1, geo.a2, geo.g1, geo.g2
-    u1, u2 = 1 / sqrt(1 + 4 * x), sqrt(1 - 4 * x)
+    r2 = sqrt(1 + 4 * x)
+    u1, u2 = 1 / r2, sqrt(1 - 4 * x)
+    om = 4 * x / (r2 * (r2 + 1))  # 1 - u1 without cancellation
     width = 16 * x * x * u1 / (1 + sqrt(1 - 16 * x * x))  # u1 - u2 without cancellation
     k = 4 * x * x * width * width / ((1 + u1) * (1 + u2))
 
     def integrand(st2: np.ndarray, ct2: np.ndarray) -> np.ndarray:
-        s = width * st2 - u1
+        ws = width * st2
+        s = ws - u1
         nm = k * st2 * ct2 * ((d1 - 1) - (d1 + 1) * s) * ((d2 - 1) - (d2 + 1) * s)
+        one_s2 = (om + ws) * (1 + u1 - ws)  # 1 - s^2
         # ds / sqrt((s + u1)(-u2 - s)) = 2 dtheta, in the scale
-        return nm / ((nm + w * w * (1 - s * s) ** 2) * np.sqrt((u1 - s) * (u2 - s)))
+        return nm / ((nm + w * w * one_s2**2) * np.sqrt((u1 - s) * (u2 - s)))
 
     return _end_mapped(
         integrand,
         sqrt(2 * gap1 / ((c1 + 1) * (a1 + 1) * width)),
         sqrt(2 * gap2 / ((c2 + 1) * (a2 + 1) * width)),
-        4 / (pi * sqrt(1 + 4 * x)), "checkpoint quadrature", x, w,
+        4 / (pi * r2), "checkpoint quadrature", x, w,
     )
 
 
@@ -371,52 +359,6 @@ def carlson_rj0(y: float, z: float, p: float) -> float:
     raise ArithmeticError(f"R_J AGM failed in float range at (y={y}, z={z}, p={p})")
 
 
-def a2_closed(x: float, w: float) -> float:
-    """Production evaluator: the cut integral in closed form, after Carlson
-    ("A table of elliptic integrals of the third kind", Math. Comp. 51, 1988).
-
-    With P(r) = (r-c1)(c2-r)(d1-r)(d2-r), -Q1 = x^2 P and the partial
-    fractions Q1/Q2 = 1 + sum_rho res_rho / (r - rho) over the Q2 roots
-    (the residues of _q2_poles),
-
-        A2 = (I0 + sum_rho res_rho I(rho)) / (pi x),
-        I0 = int_{c1}^{c2} dr / sqrt(P) = 2 R_F(0, u, v),
-        I(rho) = int_{c1}^{c2} dr / ((r - rho) sqrt(P))
-               = (I0 + 2 delta S R_J(0, u, v, S (c1-rho)/(c2-rho)) / (3 (c2-rho)))
-                 / (c2 - rho),
-
-    where u = (d1-c1)(d2-c2), v = (d2-c1)(d1-c2), S = (d1-c2)(d2-c2) and
-    delta = c2 - c1; the R_J argument is positive for all four roots. The
-    short distances come from _geometry, so small w (poles next to the cut),
-    small x and w -> 1 keep their digits. Near the singular curve the a2 and
-    b1 terms grow like (1 - 4x - w^2)^(-1/2) and cancel, which costs digits
-    in proportion."""
-    return _a2(x, w, _geometry(x, w))
-
-
-def _a2(x: float, w: float, geo: _Geometry) -> float:
-    """a2_closed on the geometry geo of (x, w)."""
-    c1, c2, d1, d2, delta = geo.c1, geo.c2, geo.d1, geo.d2, geo.delta
-    u = (d1 - c1) * (d2 - c2)
-    v = (d2 - c1) * (d1 - c2)
-    S = (d1 - c2) * (d2 - c2)
-    i0 = 2 * carlson_rf0(u, v)
-    total = i0
-    if w > 0:
-        k3 = 2 * delta * S / 3
-        for _, e1, e2, res in _q2_poles(x, w, geo):
-            # res / e2 and R_J / e2 stay O(1) as w -> 0, where e2 = c2 - a2 -> 0
-            total += res / e2 * (i0 + k3 * (carlson_rj0(u, v, S * e1 / e2) / e2))
-    return total / (pi * x)
-
-
-def alpha_closed(w: float, x: float) -> float:
-    """alpha(w, x) = A1 + A2 via the residue term and the closed-form cut
-    integral, a1_closed + a2_closed on one shared _geometry."""
-    geo = _geometry(x, w)
-    return _a1(x, w, geo) + _a2(x, w, geo)
-
-
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral K(k) = R_F(0, 1 - k^2, 1)."""
     if not 0 <= k < 1:
@@ -451,10 +393,14 @@ def a2_pi_combination(x: float, w: float) -> tuple[float, float, list[tuple[floa
 
     Returns (value, C0, [(coef_rho, n_rho) for a1 and a2]); at w = 0,
     ((2/pi) K(k), 1, [])."""
-    geo = _geometry(x, w)
+    return _a2_v(x, w, _geometry(x, w))
+
+
+def _a2_v(x: float, w: float, geo: _Geometry) -> tuple[float, float, list[tuple[float, float]]]:
+    """a2_pi_combination on the geometry geo of (x, w)."""
     if w == 0:
         return 2 / pi * elliptic_K(4 * x), 1.0, []
-    _check_w_floor(x, w, w * w, geo.g1, geo.g2)
+    _check_w_floor(x, w, w * w, geo.g1, geo.g2, geo.delta)
     u1, u2 = 1 / sqrt(1 + 4 * x), sqrt(1 - 4 * x)
     # (rho, u1^2 - v_rho, u2^2 - v_rho), with rho - c1 and rho - c2 from geo
     poles = []
@@ -473,3 +419,10 @@ def a2_pi_combination(x: float, w: float) -> tuple[float, float, list[tuple[floa
         value += coef * n * carlson_rj0((1 - 4 * x) * (1 + 4 * x), 1.0, du2 / du1)
         terms.append((coef, n))
     return 2 * value / (3 * pi), (1 + 4 * x) / lead, terms
+
+
+def alpha_closed(w: float, x: float) -> float:
+    """alpha(w, x) = A1 + A2 in closed form, a1_closed + a2_pi_combination
+    on one shared _geometry."""
+    geo = _geometry(x, w)
+    return _a1(x, w, geo) + _a2_v(x, w, geo)[0]

@@ -217,7 +217,7 @@ def test_a2_routes_agree(x: float, w: float) -> None:
     transformed = ee.a2_checkpoint(x, w)
     assert direct > 0
     assert transformed == pytest.approx(direct, rel=1e-10)
-    assert abs(ee.a2_closed(x, w) - direct) <= 1e-12 * (1 + direct)
+    assert abs(ee.a2_pi_combination(x, w)[0] - direct) <= 1e-12 * (1 + direct)
 
 
 @lru_cache(maxsize=None)
@@ -257,18 +257,23 @@ def _a2_mpmath(x: float, w: float) -> float:
     + [(x, w, 5e-13) for x, w in BAND_POINTS + W_NEAR_ONE_POINTS[1:]],
 )
 def test_a2_closed_against_mpmath(x: float, w: float, tol: float) -> None:
-    """Worst measured on these points: 4.6e-15 off the band, at (0.01, 0.9),
-    and 1.3e-13 in it, relative to 1 + A2. Near the singular curve the a2
-    and b1 terms cancel; that cancellation is divided by pi x, so it is
-    worst at small x."""
+    """The closed form of A2 that alpha_closed adds, the v-form of
+    a2_pi_combination, within tol (1 + A2) of the oracle and within 1e-12
+    of A2 itself. Worst measured on these points: 7.8e-16 relative to 1 + A2,
+    and relative to A2 6.2e-14 off the band, at (0.01, 0.9), and 4.7e-13 in
+    it, at small x. Carlson's four-pole reduction, which it replaced, was
+    1.2e-7 off A2 at (0.001, 0.99795): its a2 and b1 terms cancel near the
+    singular curve, and that cancellation is divided by pi x."""
     ref = _a2_mpmath(x, w)
-    assert abs(ee.a2_closed(x, w) - ref) <= tol * (1 + ref)
+    value = ee.a2_pi_combination(x, w)[0]
+    assert abs(value - ref) <= tol * (1 + ref)
+    assert abs(value - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize(
     "route",
     [ee.q2_roots, ee.a1_residue, ee.a1_closed, ee.a2_quadrature, ee.a2_checkpoint,
-     ee.a2_closed, lambda x, w: ee.alpha_closed(w, x), ee.a2_pi_combination],
+     lambda x, w: ee.alpha_closed(w, x), ee.a2_pi_combination],
 )
 def test_routes_refuse_the_singular_curve(route) -> None:
     """alpha diverges on the curve 4x + w^2 = 1: every route raises there
@@ -298,9 +303,9 @@ def test_alpha_closed_in_band() -> None:
 
 
 def test_alpha_closed_is_a1_plus_a2_on_one_geometry(monkeypatch) -> None:
-    """alpha_closed equals a1_closed + a2_closed bit for bit on a seeded grid
-    of w = 0, band (1 - 4x - w^2 = 10^U(-10, -2)) and interior points, and
-    builds the root geometry once per call."""
+    """alpha_closed equals a1_closed + a2_pi_combination bit for bit on a
+    seeded grid of w = 0, band (1 - 4x - w^2 = 10^U(-10, -2)) and interior
+    points, and builds the root geometry once per call."""
     rng = np.random.default_rng(23)
     points = []
     for _ in range(60):
@@ -308,7 +313,7 @@ def test_alpha_closed_is_a1_plus_a2_on_one_geometry(monkeypatch) -> None:
         band = sqrt(1 - 4 * x - 10 ** rng.uniform(-10, -2))
         points += [(x, 0.0), (x, band), (x, rng.uniform(0, sqrt(1 - 4 * x)))]
     for x, w in points:
-        assert ee.alpha_closed(w, x) == ee.a1_closed(x, w) + ee.a2_closed(x, w), (x, w)
+        assert ee.alpha_closed(w, x) == ee.a1_closed(x, w) + ee.a2_pi_combination(x, w)[0], (x, w)
     builds = 0
     geometry = ee._geometry
 
@@ -323,28 +328,22 @@ def test_alpha_closed_is_a1_plus_a2_on_one_geometry(monkeypatch) -> None:
     assert builds == len(points)
 
 
-def test_a2_closed_guards() -> None:
-    with pytest.raises(ValueError):
-        ee.a2_closed(0.0, 0.1)
-    with pytest.raises(ValueError):
-        ee.a2_closed(0.1, -0.1)
-    with pytest.raises(ValueError):
-        ee.a2_closed(0.1, sqrt(1 - 0.4))  # on the singular curve
-
-
 ALL_POINTS = GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS
+# small x at small and middle w, where 1 - s^2 of a2_checkpoint cancels as s -> -1
+CHECKPOINT_SMALL_X_POINTS = [(0.001, 0.01), (1e-4, 0.001), (1e-4, 0.5), (1e-3, 0.5)]
 
 
-@pytest.mark.parametrize("x,w", ALL_POINTS)
+@pytest.mark.parametrize("x,w", ALL_POINTS + CHECKPOINT_SMALL_X_POINTS)
 def test_a2_quadratures_against_mpmath(x: float, w: float) -> None:
     """Both quadrature routes on the fixed end-mapped rule pair, on every
-    point of the closed form's check, to 3e-14 relative to 1 + A2, so that
-    a rewritten integrand cannot lose digits unseen. Worst measured over
-    these points and 60 more seeded ones: 6.3e-15 for a2_quadrature and
-    1.5e-14 for a2_checkpoint."""
+    point of the closed form's check, to 3e-14 (a2_quadrature) and 1e-14
+    (a2_checkpoint) relative to 1 + A2, so that a rewritten integrand cannot
+    lose digits unseen. Worst measured over these points: 6.4e-15 for
+    a2_quadrature and 6.3e-15 for a2_checkpoint. The checkpoint was 1.9e-14
+    off at (1e-4, 0.001) while it formed 1 - s^2 directly."""
     ref = _a2_mpmath(x, w)
     assert abs(ee.a2_quadrature(x, w) - ref) <= 3e-14 * (1 + ref)
-    assert abs(ee.a2_checkpoint(x, w) - ref) <= 3e-14 * (1 + ref)
+    assert abs(ee.a2_checkpoint(x, w) - ref) <= 1e-14 * (1 + ref)
 
 
 @pytest.mark.parametrize("x", [0.001, 0.1, 0.24])
@@ -353,7 +352,7 @@ def test_quadratures_at_vanishing_w(x: float, w: float) -> None:
     """Peaks far narrower than the map's floor _EPS_MIN hold a relative mass
     of order w, so both routes must return A2 at w = 0. Worst measured:
     1.1e-14 relative to 1 + A2."""
-    want = ee.a2_closed(x, 0.0)
+    want = 2 / pi * ee.elliptic_K(4 * x)
     assert abs(ee.a2_quadrature(x, w) - want) <= 5e-14 * (1 + want)
     assert abs(ee.a2_checkpoint(x, w) - want) <= 5e-14 * (1 + want)
 
@@ -411,6 +410,8 @@ def test_alpha_closed_guards_and_growth() -> None:
         ee.alpha_closed(0.1, 0.25)
     with pytest.raises(ValueError):
         ee.alpha_closed(0.7, 0.15)  # w^2 >= 1 - 4x
+    with pytest.raises(ArithmeticError):
+        ee.alpha_closed(0.5, 1e-160)  # c2 - c1 below float range; A1 is NaN there
     # finite positive inside, increasing toward the singular boundary
     vals = [ee.alpha_closed(w, 0.15) for w in (0.3, 0.5, 0.6)]
     assert all(math.isfinite(v) and v > 0 for v in vals)
@@ -429,7 +430,8 @@ def test_routes_at_vanishing_w() -> None:
     tolerance of an independent route or raises ValueError or
     ArithmeticError, but never ZeroDivisionError; NaN fails the tolerance.
     A1 below 1e-300 is subnormal, so it is held to that absolute floor.
-    K/Pi raises only where a2_closed raises."""
+    K/Pi and alpha_closed raise ArithmeticError exactly where
+    0 < w^2 < 2^-1000 and answer everywhere else."""
     a2_pi = lambda x, w: ee.a2_pi_combination(x, w)[0]  # noqa: E731
     alpha = lambda x, w: ee.alpha_closed(w, x)  # noqa: E731
     misses = []
@@ -437,25 +439,24 @@ def test_routes_at_vanishing_w() -> None:
         for w in SWEEP_W:
             a1, a2 = ee.a1_closed(x, w), ee.a2_quadrature(x, w)
             ref = genfun.alpha_contour(w, x)
-            raised = set()
+            floored = w > 0 and w * w < 2.0**-1000  # w^2 underflows to 0 below 1e-162
             for route, want, tol in (
                 (ee.a1_residue, a1, max(1e-12 * abs(a1), 1e-300)),
                 (ee.a2_checkpoint, a2, 1e-12 * (1 + a2)),
-                (ee.a2_closed, a2, 1e-12 * (1 + a2)),
                 (a2_pi, a2, 1e-12 * (1 + a2)),
                 (alpha, ref, 1e-9 * max(1, ref)),
             ):
+                closed = route in (a2_pi, alpha)
                 try:
                     got = route(x, w)
                 except ZeroDivisionError as exc:
                     misses.append((route, x, w, exc))
                     continue
                 except (ValueError, ArithmeticError) as exc:
-                    raised.add(route)
-                    if route is a2_pi and ee.a2_closed not in raised:
+                    if closed and not (floored and isinstance(exc, ArithmeticError)):
                         misses.append((route, x, w, exc))
                     continue
-                if not abs(got - want) <= tol:
+                if (closed and floored) or not abs(got - want) <= tol:
                     misses.append((route, x, w, got, want))
     assert not misses, (len(misses), misses[:5])
 
@@ -567,8 +568,8 @@ def test_pi_combination_tiny_w() -> None:
 
 
 def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
-    """Every argument tuple that a2_closed and the K/Pi route hand to the
-    Carlson helpers over the test regions of the domain."""
+    """Every argument tuple that the K/Pi route hands to the Carlson
+    helpers over the test regions of the domain."""
     seen: dict[str, list[tuple[float, ...]]] = {"rf0": [], "rj0": []}
     for name in seen:
         real = getattr(ee, f"carlson_{name}")
@@ -579,7 +580,6 @@ def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
 
         monkeypatch.setattr(ee, f"carlson_{name}", record)
     for x, w in GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS:
-        ee.a2_closed(x, w)
         ee.a2_pi_combination(x, w)
     monkeypatch.undo()
     return seen
@@ -587,8 +587,12 @@ def _reduction_arguments(monkeypatch) -> dict[str, list[tuple[float, ...]]]:
 
 def test_carlson_helpers_on_reduction_arguments(monkeypatch) -> None:
     """Against scipy's duplication algorithms. The R_J arguments span
-    p / z from about 1e-17 (w = 1e-8) to 1e15."""
+    p / z from about 1e-16 (w = 1e-8) to 1e16. K/Pi hands R_F only its
+    w = 0 arguments, so R_F also runs on a seeded grid of y and z across
+    twelve decades, both orders."""
     args = _reduction_arguments(monkeypatch)
+    rng = np.random.default_rng(7)
+    args["rf0"] += [tuple(10 ** rng.uniform(-6, 6, 2)) for _ in range(60)]
     assert min(len(v) for v in args.values()) > 50
     ratios = [p / z for _, z, p in args["rj0"]]
     assert min(ratios) < 1e-15 and max(ratios) > 1e14
@@ -738,11 +742,13 @@ def test_pi_combination_log_x() -> None:
 
 
 def test_reduction_guards() -> None:
-    """K/Pi refuses points outside the domain and w whose square leaves the
-    normal float range; at w = 0 it returns (2/pi) K(4x) and no Pi terms."""
+    """K/Pi refuses points outside the domain, w whose square leaves the
+    normal float range and x whose c2 - c1 does (it returned 0 there);
+    at w = 0 it returns (2/pi) K(4x) and no Pi terms."""
     for x, w in ((0.1, -0.1), (0.2, 0.5), (0.25, 0.1), (0.0, 0.1)):
         with pytest.raises(ValueError):
             ee.a2_pi_combination(x, w)
-    with pytest.raises(ArithmeticError):
-        ee.a2_pi_combination(0.1, 1e-160)
+    for x, w in ((0.1, 1e-160), (1e-160, 0.5)):
+        with pytest.raises(ArithmeticError):
+            ee.a2_pi_combination(x, w)
     assert ee.a2_pi_combination(0.1, 0.0) == (2 / pi * ee.elliptic_K(0.4), 1.0, [])

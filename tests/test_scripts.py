@@ -26,12 +26,10 @@ def test_run_alpha_routes(tmp_path) -> None:
         "run_alpha_routes", ["--xs", "0.05,0.2", "--ws", "0.0,0.3,0.5"], tmp_path / "a.csv"
     )
     assert header == ["x", "w", "alpha_series", "alpha_contour", "alpha_closed",
-                      "alpha_kpi", "max_pairwise_diff"]
+                      "max_pairwise_diff"]
     assert len(rows) == 5
     for row in rows:
-        # K/Pi runs for w > 0 only; its cell is empty at w = 0
-        assert (row[5] == "") == (float(row[1]) == 0)
-        values = [float(v) for v in row if v]
+        values = [float(v) for v in row]
         assert all(math.isfinite(v) for v in values)
         assert values[-1] < 1e-9
 
