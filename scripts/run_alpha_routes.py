@@ -2,7 +2,8 @@
 
 Emits one CSV row per feasible grid point with the series, contour and
 closed-form values plus the worst pairwise disagreement, so route drift
-shows up as a single sortable column.
+shows up as a single sortable column, and the series' tail bound, which
+bounds how far the series may lie below alpha.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
 
-    lines = ["x,w,alpha_series,alpha_contour,alpha_closed,max_pairwise_diff"]
+    lines = ["x,w,alpha_series,alpha_contour,alpha_closed,max_pairwise_diff,series_tail_bound"]
     for x in parse_floats(args.xs):
         for w in parse_floats(args.ws):
             if 4 * x + w * w >= 1:
@@ -36,7 +37,8 @@ def main(argv: list[str] | None = None) -> int:
             con = genfun.alpha_contour(w, x)
             clo = elliptic_engine.alpha_closed(w, x)
             spread = max(ser, con, clo) - min(ser, con, clo)
-            lines.append(f"{x:.17g},{w:.17g},{ser:.17g},{con:.17g},{clo:.17g},{spread:.3e}")
+            lines.append(f"{x:.17g},{w:.17g},{ser:.17g},{con:.17g},{clo:.17g},{spread:.3e},"
+                         f"{trunc.tail_bound:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

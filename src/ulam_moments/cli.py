@@ -238,9 +238,11 @@ def _check_walk_mc() -> None:
 
 def _check_alpha_routes() -> None:
     for w, x in ((0.1, 0.05), (0.3, 0.1)):
-        ser = genfun.alpha_series(w, x)
+        trunc = genfun.SeriesTruncation()
+        ser = genfun.alpha_series(w, x, trunc)
         con = genfun.alpha_contour(w, x)
         _require(abs(ser - con) < 1e-9, (w, x, ser, con))
+        _require(abs(ser - con) <= trunc.tail_bound + 1e-13 * (1 + con), (w, x, trunc.tail_bound))
 
 
 def _check_roots() -> None:

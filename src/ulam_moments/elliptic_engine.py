@@ -68,7 +68,8 @@ _Geometry = namedtuple("_Geometry", "c1 c2 d1 d2 a1 a2 b1 b2 delta g1 g2 gab")
 def _geometry(x: float, w: float) -> _Geometry:
     """The root geometry at (x, w), after the check of the domain of alpha
     and of every A1 and A2 route: ValueError unless 0 < x <= X_MAX, w >= 0
-    and 4x + w^2 < 1.
+    and 4x + w^2 < 1, and the ArithmeticError of _check_w_floor where
+    2x (s + 2x), below, leaves the float range at w > 0.
 
     The outer roots d1, d2, b2 come from their additive closed forms and
     the inner ones as exact reciprocals (c1 d2 = c2 d1 = a1 b2 = a2 b1 = 1),
@@ -83,7 +84,8 @@ def _geometry(x: float, w: float) -> _Geometry:
 
     and the differences of square roots in d1 - b1 and b2 - d2 are
     rationalized. So b1 and a2 keep their digits as w -> 1 at small x, and
-    the O(w^2) gaps at small w. At w = 0 the Q2 roots are the Q1 roots."""
+    the O(w^2) gaps at small w. At w = 0 the Q2 roots are the Q1 roots and
+    both w^2 gaps are 0."""
     if not 0 < x <= X_MAX:
         raise ValueError(f"x must lie in (0, {X_MAX}], got x={x}")
     if not (w >= 0 and 4 * x + w * w < 1):
@@ -102,10 +104,14 @@ def _geometry(x: float, w: float) -> _Geometry:
     bm1 = (lo + p) / (2 * x)
     b1, b2 = 1 + bm1, (1 + s + q) / (2 * x)
     a1, a2 = 1 / b2, 1 / b1
-    if w == 0:  # the Q1 roots, bit for bit
+    if w == 0:  # the Q1 roots, bit for bit, and no gaps (2x t can underflow)
         a1, a2, b1, b2 = c1, c2, d1, d2
-    gb1 = w2 * (1 + (2 - t) / (r1 + p)) / (2 * x * t)  # d1 - b1
-    gb2 = w2 * (1 / t + (1 + 2 / t) / (q + r2)) / (2 * x)  # b2 - d2
+        gb1 = gb2 = 0.0
+    else:
+        xt = 2 * x * t
+        _check_w_floor(x, w, xt)  # it underflows to 0 at tiny x w
+        gb1 = w2 * (1 + (2 - t) / (r1 + p)) / xt  # d1 - b1
+        gb2 = w2 * (1 / t + (1 + 2 / t) / (q + r2)) / (2 * x)  # b2 - d2
     return _Geometry(c1, c2, d1, d2, a1, a2, b1, b2, c1 * c2 * dd,
                      gb2 * c1 * a1, gb1 * c2 * a2, bm1 * (2 + bm1) / b1)
 
@@ -138,7 +144,15 @@ def _check_w_floor(x: float, w: float, *shrinking: float) -> None:
     The check of delta refuses x below about 2^-501. Without the floor,
     a1_residue returned wrong values from w = 1e-154, the v-form lost digits
     from w = 1e-155 (1.5e-12 relative at 1e-156), and both divided by zero
-    once w^2 underflowed, below w = 1e-162."""
+    once w^2 underflowed, below w = 1e-162.
+
+    a1_closed checks x^2 (a2 - a1), the first product of its denominator,
+    about w x^3 / (1 - w) where x << w: it refuses x below about
+    2^-329 at w = 1e-5 and 2^-337 at w = 0.999, where the product left the
+    normal range (a1_closed(2^-350, 1e-5) was 0.13% off, alpha_closed(0.999,
+    2^-360) returned 976.1 for 1000). a1_residue checks delta as the v-form
+    does (it returned NaN at x = 2^-1040). _geometry checks 2x t, the
+    divisor of d1 - b1, which underflows to 0 at tiny x w."""
     if min(shrinking) < 2.0**-1000:
         raise ArithmeticError(f"w or x too small for float range at (x={x}, w={w})")
 
@@ -168,7 +182,7 @@ def a1_residue(x: float, w: float) -> float:
     if w == 0:
         return 0.0
     a2, g2 = geo.a2, geo.g2
-    _check_w_floor(x, w, w * w, g2)
+    _check_w_floor(x, w, w * w, g2, geo.delta)
     half_poles = 1 / (geo.delta + g2) + 1 / g2 - 1 / (geo.d1 - a2) - 1 / (geo.d2 - a2)
     return 1 / (w * a2 * half_poles / 2 - w)  # g(a2) = +w*a2
 
@@ -184,8 +198,9 @@ def _a1(x: float, w: float, geo: _Geometry) -> float:
     """a1_closed on the geometry geo of (x, w)."""
     if w == 0:
         return 0.0
-    aa = geo.g1 + geo.delta + geo.g2  # a2 - a1
-    return 2 * w * geo.a2 / (x * x * aa * geo.gab * (geo.b2 - geo.a2))
+    xxa = x * x * (geo.g1 + geo.delta + geo.g2)  # x^2 (a2 - a1)
+    _check_w_floor(x, w, xxa)
+    return 2 * w * geo.a2 / (xxa * geo.gab * (geo.b2 - geo.a2))
 
 
 # Two fixed Gauss-Legendre rule sizes; their disagreement is the error check.

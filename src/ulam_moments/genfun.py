@@ -5,8 +5,16 @@ kernel-power array. Two independent evaluation routes live here:
 
  * alpha_series: truncated double sum over the cached 91 x 161 table of
    A(N, j) / 16^N, rows of exact integers from the recurrence in j of
-   ``exact_core.a_row``, each rounded once, with an a posteriori geometric
-   tail estimate written back into the optional output record.
+   ``exact_core.a_row``, each rounded once, with a closed-form bound on
+   the dropped terms written back into the optional output record. Every
+   A(N, j) is nonnegative, so the mass in rows N >= 91 is at most
+   (x/x')^182 alpha(w, x') for any larger x' still inside the domain, and
+   that in columns j >= 161 at most (w/w')^161 alpha(w', x) for any
+   larger w': a shift of the radius, as in Cauchy's coefficient bound
+   (P. Flajolet and R. Sedgewick, Analytic Combinatorics, 2009, ch. IV).
+   The contour integrand below peaks at theta = 0, so
+   alpha(w, x) <= 1 / (s - w) = (s + w) / eps, s = sqrt(1 - 4x), and
+   both shifts have closed-form minimisers.
  * alpha_contour: the same quantity as a single contour mean over the unit
    circle, in real arithmetic over theta in [0, pi]: there the integrand
    1 / (g - w), g the algebraic square root of Q1 / xi^2, is real, positive
@@ -56,7 +64,10 @@ def principal_sqrt(z: complex) -> complex:
 @dataclass
 class SeriesTruncation:
     """Output record of alpha_series: tail_bound is filled by the call with
-    a measured-ratio geometric estimate of the mass outside the table."""
+    a closed-form upper bound on the mass outside the table,
+    alpha(w, x) - alpha_series(w, x) before rounding. It is finite on the
+    whole domain 0 <= x < 1/4, w >= 0, 4x + w^2 < 1, and at most
+    2 (s + w) / eps, twice the bound on alpha itself."""
 
     tail_bound: float | None = None
 
@@ -89,32 +100,47 @@ def diag_table() -> np.ndarray:
 def alpha_series(w: float, x: float, trunc: SeriesTruncation | None = None) -> float:
     """Truncated double sum over the normalized diagonal table.
 
-    Row N contributes (16 x^2)^N * sum_j tab[N, j] w^j. When an output
-    record is supplied, its tail_bound field receives the measured-ratio
-    geometric estimate last * r / (1 - r), r = last / prev, of the row tail
-    in N plus those of the column tails in j, added row by row: 0 where
-    prev = 0, inf where r >= 0.97.
+    Row N contributes (16 x^2)^N * sum_j tab[N, j] w^j, tab the
+    diag_table. When an output record is supplied, its tail_bound field
+    receives _tail_bound(w, x), an upper bound on the dropped rows and
+    columns together: alpha(w, x) - total <= tail_bound, up to rounding.
     """
     _check_alpha_domain(w, x)
-    tab = diag_table()
     base = (16.0 * x * x) ** np.arange(_N_MAX + 1)
-    shells = (tab @ w ** np.arange(_J_MAX + 1)) * base
+    shells = (diag_table() @ w ** np.arange(_J_MAX + 1)) * base
     total = float(shells.sum())
-    if trunc is None:
-        return total
-
-    prev, last = shells[-2:].tolist()  # the row tail in N
-    r = last / prev if prev > 0 else 0.0
-    trunc.tail_bound = last * r / (1 - r) if r < 0.97 else math.inf
-    if w > 0:  # plus each row's column tail in j, all 0 at w = 0
-        prev = tab[:, -2] * w ** (_J_MAX - 1) * base
-        last = tab[:, -1] * w ** _J_MAX * base
-        # prev = 0 only where last is 0 or subnormal, so last * ratio = last^2 = 0
-        ratio = last / (prev + (prev == 0))
-        tails = last * ratio / (1 - np.minimum(ratio, 0.97))
-        tails[ratio >= 0.97] = math.inf
-        trunc.tail_bound += float(tails.cumsum()[-1])
+    if trunc is not None:
+        trunc.tail_bound = _tail_bound(w, x)
     return total
+
+
+def _tail_bound(w: float, x: float) -> float:
+    """An upper bound on the terms the table drops: the rows N >= M = 91
+    plus the columns j >= L = 161 (their overlap counts twice).
+
+    alpha(w, x) <= 1 / (s - w) = (s + w) / eps, s = sqrt(1 - 4x), and all
+    A(N, j) >= 0. So the rows weigh at most (x/x')^(2M) / (s' - w),
+    s' = sqrt(1 - 4x'), for any x < x' < (1 - w^2)/4. Its minimiser s' is
+    the positive root of (4M + 1) s'^2 - 4M w s' - 1 = 0, which gives
+    s' - w = (1 - s'^2) / (4M s') and, with r = sqrt((4M w)^2 + 16M + 4),
+    1 - s' = 8M (1 - w) / (4M (2 - w) + 2 + r): q = 1 - s'^2 = 4x' is a
+    product of positive terms, and the rows give (4x/q)^(2M) 4M s'/q. The
+    columns weigh at most (w/w')^L / (s - w') for any w < w' < s, least at
+    w' = L s/(L + 1), where s - w' = s/(L + 1). Where a minimiser falls
+    outside its interval (x' <= x, or w' <= w), that part is (s + w) / eps,
+    eps from _curve_gap. Nothing cancels, so the bound keeps its digits up
+    to the curve 4x + w^2 = 1; the rows give 0 at x = 0, the columns 0 at
+    w = 0.
+    """
+    s = math.sqrt(1 - 4 * x)
+    whole = (s + w) / _curve_gap(x, w)
+    M, L = _N_MAX + 1, _J_MAX + 1
+    r = math.sqrt((4 * M * w) ** 2 + 16 * M + 4)
+    s1 = (4 * M * w + r) / (8 * M + 2)
+    q = 8 * M * (1 - w) * (1 + s1) / (4 * M * (2 - w) + 2 + r)
+    w1 = L * s / (L + 1)
+    rows = (4 * x / q) ** (2 * M) * 4 * M * s1 / q if 4 * x < q else whole
+    return rows + ((w / w1) ** L * (L + 1) / s if w < w1 else whole)
 
 
 def _curve_gap(x: float, w: float) -> float:

@@ -126,6 +126,17 @@ def test_genfun_routes_agree() -> None:
     assert float(rows[0][4]) >= 0.0
 
 
+def test_genfun_tail_bound_covers_the_difference() -> None:
+    """Next to the curve, where the series is 2.94 off, tail_bound still
+    bounds the printed difference from the contour."""
+    res = run_cli("genfun", "--x", "0.1768", "--w", "0.5375")
+    assert res.returncode == 0
+    header, rows = parse_csv(res.stdout)
+    row = dict(zip(header, rows[0]))
+    assert float(row["abs_diff"]) > 2
+    assert float(row["tail_bound"]) >= float(row["abs_diff"])
+
+
 @pytest.mark.parametrize("flag", ["--nmax", "--jmax"])
 def test_genfun_has_no_truncation_flags(flag: str) -> None:
     """The series table is fixed at 91 x 161; a size flag is malformed."""

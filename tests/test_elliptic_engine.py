@@ -208,6 +208,47 @@ def test_a1_closed_at_small_x() -> None:
         assert abs(ee.a1_closed(x, w) / want - 1) <= 4e-15, (x, w)
 
 
+def test_a1_routes_at_tiny_x() -> None:
+    """x = 2^-1 ... 2^-1074 at w = 0, 1e-5, 0.5 and 0.999. Outside the
+    domain a route raises ValueError. Inside it either raises the floor's
+    ArithmeticError or is right: a1_closed within 1e-14 and a1_residue
+    within 1e-11 of _a1_mpmath, and alpha_closed(0, x) within 2 ulps of
+    (2/pi) K(4x); alpha_closed at w > 0 raises where a1_closed does and is
+    finite elsewhere. Without the checks of x^2 (a2 - a1) and of c2 - c1,
+    a1_closed was 0.13% off at (2^-350, 1e-5), alpha_closed(0.999, 2^-360)
+    returned 976.1 for 1000 and a1_residue(2^-1040, 0.5) NaN; at w = 0 the
+    w^2 gaps were 0/0, so alpha_closed(0, 1e-163) raised ZeroDivisionError."""
+    floor = "too small for float range"
+    for w in (0.0, 1e-5, 0.5, 0.999):
+        for x in [2.0**-k for k in range(1, 1075)] + [1e-163]:
+            if not (x <= ee.X_MAX and 4 * x + w * w < 1):
+                for route in (ee.a1_closed, ee.a1_residue):
+                    with pytest.raises(ValueError):
+                        route(x, w)
+                continue
+            if w == 0:
+                assert ee.a1_closed(x, w) == ee.a1_residue(x, w) == 0.0
+                with mpmath.workdps(30):
+                    want = float(2 / mpmath.pi * mpmath.ellipk(16 * mpmath.mpf(x) ** 2))
+                assert abs(ee.alpha_closed(w, x) - want) <= 4.5e-16 * want, x
+                continue
+            want = _a1_mpmath(x, w)
+            for route, tol in ((ee.a1_closed, 1e-14), (ee.a1_residue, 1e-11)):
+                try:
+                    got = route(x, w)
+                except ArithmeticError as exc:
+                    assert floor in str(exc), (route.__name__, x, w)
+                    continue
+                assert abs(got / want - 1) <= tol, (route.__name__, x, w, got, want)
+            try:
+                ee.a1_closed(x, w)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError, match=floor):
+                    ee.alpha_closed(w, x)
+            else:
+                assert math.isfinite(ee.alpha_closed(w, x)), (x, w)
+
+
 # ------------------------------------------------------------- cut integral
 
 

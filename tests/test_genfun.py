@@ -8,7 +8,6 @@ from fractions import Fraction
 from typing import Callable
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -201,54 +200,89 @@ def test_alpha_series_tail_bound_is_honest() -> None:
         trunc = SeriesTruncation()
         series = genfun.alpha_series(w, x, trunc)
         reference = alpha_closed(w, x)
-        assert abs(series - reference) <= trunc.tail_bound + 1e-10
+        assert abs(series - reference) <= trunc.tail_bound + 1e-14 * (1 + reference)
 
 
-def _scalar_loop_series(w: float, x: float) -> tuple[float, float]:
-    """(alpha_series, tail_bound) by the earlier scalar loop over the rows,
-    kept here as the pin of the vectorised tail."""
-
-    def geom_tail(last: float, ratio: float) -> float:
-        if last == 0.0:
-            return 0.0
-        if ratio >= 0.97:
-            return math.inf
-        return last * ratio / (1 - ratio)
-
-    tab = genfun.diag_table()
-    base = (16.0 * x * x) ** np.arange(genfun._N_MAX + 1)
-    shells = (tab @ w ** np.arange(genfun._J_MAX + 1)) * base
-    n_tail = 0.0
-    if shells[-2] > 0:
-        n_tail = geom_tail(float(shells[-1]), float(shells[-1] / shells[-2]))
-    j_tail = 0.0
-    if w > 0:
-        last_col = tab[:, -1] * w ** genfun._J_MAX * base
-        prev_col = tab[:, -2] * w ** (genfun._J_MAX - 1) * base
-        for lc, pc in zip(last_col, prev_col):
-            if pc > 0:
-                j_tail += geom_tail(float(lc), float(lc / pc))
-    return float(shells.sum()), n_tail + j_tail
+# (w, x): the benchmark's four series fault points and the point where the
+# earlier measured-ratio estimate read 0.733 against an error of 2.94
+SERIES_FAULTS = [(0.3, 0.22), (0.4, 0.2), (0.5, 0.18), (0.535, 0.1768), (0.5375, 0.1768)]
 
 
-def test_alpha_series_tail_is_the_scalar_loop_bit_for_bit() -> None:
-    """On 2,000 seeded points, w = 0 and the four points where the tail
-    estimate is exceeded, the value and tail_bound equal the scalar loop's
-    bit for bit, infinite tails included."""
-    rng = random.Random(2025)
-    points = [(0.0, 0.1), (0.3, 0.22), (0.4, 0.2), (0.5, 0.18), (0.535, 0.1768)]  # (w, x)
-    for _ in range(2000):
+def _tail_points() -> list[tuple[float, float]]:
+    """(w, x): the faults, the edges (x = 0, w = 0, x = 0.2499, and
+    1 - 4x - w^2 = 1e-15) and 800 seeded points, 450 uniform on the domain
+    up to x = 0.24, 225 at 1 - 4x - w^2 = 10^U(-4, -1) and 125 with
+    w >= 0.9 sqrt(1 - 4x)."""
+    pts = SERIES_FAULTS + [(0.65, 0.1), (0.0, 0.0), (0.5, 0.0), (0.999, 0.0), (0.0, 0.1),
+                           (0.0, 0.2499), (0.01, 0.2499), (0.0, 0.24)]
+    pts += [(math.sqrt(1 - 4 * x - 1e-15), x) for x in (0.001, 0.1, 0.24)]
+    rng = random.Random(2801)
+    for _ in range(450):
         x = rng.uniform(0, 0.24)
-        points.append((rng.uniform(0, math.sqrt(1 - 4 * x)), x))
-    infinite = 0
-    for w, x in points:
+        pts.append((rng.uniform(0, math.sqrt(1 - 4 * x)), x))
+    for _ in range(225):
+        x = rng.uniform(0, 0.24)
+        pts.append((math.sqrt(1 - 4 * x - 10 ** rng.uniform(-4, -1)), x))
+    for _ in range(125):
+        x = rng.uniform(0, 0.24)
+        s = math.sqrt(1 - 4 * x)
+        pts.append((rng.uniform(0.9 * s, s), x))
+    return pts
+
+
+def test_alpha_series_tail_bound_holds() -> None:
+    """At every point of _tail_points tail_bound is finite and bounds the
+    series' error against alpha_closed (1/(1 - w) at x = 0, the mpmath
+    quadrature above x = 0.24), up to 1e-14 (1 + alpha) of rounding; 40 of
+    the points, the faults first, are also checked against the quadrature."""
+    pts = _tail_points()
+    for w, x in pts:
         trunc = SeriesTruncation()
-        got = genfun.alpha_series(w, x, trunc)
-        want, tail = _scalar_loop_series(w, x)
-        assert (got, trunc.tail_bound) == (want, tail), (w, x)
-        assert type(trunc.tail_bound) is float
-        infinite += math.isinf(tail)
-    assert 0 < infinite < len(points)
+        series = genfun.alpha_series(w, x, trunc)
+        if x == 0:
+            ref = 1 / (1 - w)
+        elif x > 0.24:
+            ref = _alpha_mpmath(w, x, peak=True)
+        else:
+            ref = alpha_closed(w, x)
+        assert math.isfinite(trunc.tail_bound), (w, x)
+        assert abs(series - ref) <= trunc.tail_bound + 1e-14 * (1 + ref), (w, x)
+    for w, x in SERIES_FAULTS + pts[-800::23]:  # the faults and 35 seeded points
+        trunc = SeriesTruncation()
+        series = genfun.alpha_series(w, x, trunc)
+        ref = _alpha_mpmath(w, x, peak=True)
+        assert abs(series - ref) <= trunc.tail_bound + 1e-14 * (1 + ref), (w, x)
+
+
+def _tail_bound_mpmath(w: float, x: float) -> float:
+    """The tail bound as first written, at 30 digits: alpha <= 1/(s - w),
+    s = sqrt(1 - 4x); rows (x/x')^182 / (s' - w) at the positive root s' of
+    365 s'^2 - 364 w s' - 1, x' = (1 - s'^2)/4; columns
+    (w/w')^161 / (s - w') at w' = 161 s/162; each part 1/(s - w) where x'
+    or w' is not above x or w."""
+    with mpmath.workdps(30):
+        w, x = mpmath.mpf(w), mpmath.mpf(x)
+        s = mpmath.sqrt(1 - 4 * x)
+        whole = 1 / (s - w)
+        s1 = (364 * w + mpmath.sqrt((364 * w) ** 2 + 4 * 365)) / (2 * 365)
+        x1 = (1 - s1 * s1) / 4
+        rows = (x / x1) ** 182 / (s1 - w) if x1 > x else whole
+        w1 = 161 * s / 162
+        cols = (w / w1) ** 161 / (s - w1) if w1 > w else whole
+        return float(rows + cols)
+
+
+@pytest.mark.parametrize("w,x", [
+    (0.65, 0.1),  # both minimisers inside their intervals
+    (0.0, 0.2499),  # x' <= x: the rows are 1/(s - w)
+    (0.999, 0.0),  # w' <= w: the columns are 1/(s - w)
+    (math.sqrt(1 - 0.4 - 1e-4), 0.1),  # both, next to the curve
+])
+def test_alpha_series_tail_bound_closed_form(w: float, x: float) -> None:
+    trunc = SeriesTruncation()
+    genfun.alpha_series(w, x, trunc)
+    want = _tail_bound_mpmath(w, x)
+    assert abs(trunc.tail_bound - want) <= 1e-13 * want, (w, x)
 
 
 def test_alpha_monotone_in_each_argument() -> None:

@@ -26,12 +26,13 @@ def test_run_alpha_routes(tmp_path) -> None:
         "run_alpha_routes", ["--xs", "0.05,0.2", "--ws", "0.0,0.3,0.5"], tmp_path / "a.csv"
     )
     assert header == ["x", "w", "alpha_series", "alpha_contour", "alpha_closed",
-                      "max_pairwise_diff"]
+                      "max_pairwise_diff", "series_tail_bound"]
     assert len(rows) == 5
     for row in rows:
-        values = [float(v) for v in row]
-        assert all(math.isfinite(v) for v in values)
-        assert values[-1] < 1e-9
+        x, w, series, contour, closed, spread, bound = (float(v) for v in row)
+        assert all(math.isfinite(v) for v in (series, contour, closed, spread, bound))
+        assert spread < 1e-9
+        assert abs(series - closed) <= bound + 1e-14 * (1 + abs(closed))
 
 
 def test_run_alpha_routes_has_no_truncation_flags(tmp_path) -> None:
