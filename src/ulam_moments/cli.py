@@ -183,157 +183,79 @@ def _cmd_polya(args) -> int:
 # ---------------------------------------------------------- verify suites
 
 
-def _require(ok: bool, *context) -> None:
-    """AssertionError(*context) unless ok; unlike assert, it holds under python -O."""
-    if not ok:
-        raise AssertionError(*context)
+def _check(rel: float, points: list[tuple], got, want) -> None:
+    """AssertionError(point, got, want) at the first point where
+    |got - want| > rel (1 + |want|); rel = 0 asks for equality, of whole
+    rows too. Unlike assert, it holds under python -O."""
+    for point in points:
+        g, w = got(*point), want(*point)
+        if not (g == w if rel == 0 else abs(g - w) <= rel * (1 + abs(w))):
+            raise AssertionError(point, g, w)
 
 
-def _check_exact_spot_values() -> None:
-    _require(exact_core.a_array(1, 0) == 4)
-    _require(exact_core.a_array(1, 1) == 10)
-    _require(exact_core.a_array(1, 2) == 18)
-    _require(exact_core.a_array(2, 0) == 36)
-    _require(exact_core.a_array(0, 7) == 1)
-    _require(exact_core.a_array_direct(2, 2) == exact_core.a_array(2, 2) == 300)
-    _require(exact_core.second_moment(2, 1) == 4)
-    _require(exact_core.second_moment(3, 2) == Fraction(19, 6))
-    _require(exact_core.second_moment(4, 2) == Fraction(67, 6))
+def _bracket_median(n: int, k: int, r: int, R_even: int, R_odd: int):
+    """The exact P(Z >= r) clamped into its Bonferroni bracket: it is the
+    exact value iff the bracket holds it."""
+    b = bounds_mod.bonferroni_bracket(n, k, r, R_even, R_odd)
+    return sorted((b.lower, b.exact, b.upper))[1]
 
 
-def _check_exact_identities() -> None:
-    for N in range(21):
-        _require(exact_core.a_row(N, 40) == [exact_core.a_array(N, j) for j in range(41)], N)
-    for k in range(41):
-        want = [exact_core.a_array(k - i, i) * math.perm(2 * k, i) ** 2 for i in range(k + 1)]
-        _require(exact_core.moment_weights(k) == tuple(want), k)
-
-
-def _check_perm_distribution() -> None:
-    dist = perm_oracle.z_distribution(3, 2)
-    _require(dist.counts == {0: 1, 1: 2, 2: 2, 3: 1})
-    _require(perm_oracle.moment(dist, 2) == exact_core.second_moment(3, 2))
-    d42 = perm_oracle.z_distribution(4, 2)
-    _require(perm_oracle.moment(d42, 2) == exact_core.second_moment(4, 2))
-    _require(perm_oracle.prob_at_least(4, 2, 1) >= perm_oracle.prob_at_least(4, 2, 2))
-
-
-def _check_walk_array() -> None:
-    for N in range(9):
-        for j in range(3):
-            _require(walk_lab.a_from_walk_exact(N, j) == exact_core.a_array(N, j))
-    for N in range(9):
-        returned = sum(walk_lab.enumerate_walks(N))
-        _require(Fraction(returned, 16**N) == walk_lab.return_probability(N))
-
-
-def _check_walk_mc() -> None:
-    many = 2 * walk_lab._MC_CHUNK + 5  # three chunks, so the thread pool runs
-    for N in (2, 5):  # the one-block kernel and the popcount-and-walk kernel
-        one = walk_lab.a_monte_carlo(N, 1, many, 7)
-        _require(one == walk_lab.a_monte_carlo(N, 1, many, 7))
-        _require(one == walk_lab.a_monte_carlo(N, 1, many, 7, workers=3))
-    _require(abs(walk_lab.polya_series(0.4, 300) - (2 / math.pi) * ell.elliptic_K(0.4)) < 1e-10)
-
-
-def _check_alpha_routes() -> None:
-    for w, x in ((0.1, 0.05), (0.3, 0.1)):
-        trunc = genfun.SeriesTruncation()
-        ser = genfun.alpha_series(w, x, trunc)
-        con = genfun.alpha_contour(w, x)
-        _require(abs(ser - con) < 1e-9, (w, x, ser, con))
-        _require(abs(ser - con) <= trunc.tail_bound + 1e-13 * (1 + con), (w, x, trunc.tail_bound))
-
-
-def _check_roots() -> None:
-    x, w = 0.1, 0.2
-    c1, c2, d1, d2 = ell.q1_roots(x)
-    a1, a2, b1, b2 = ell.q2_roots(x, w)
-    _require(abs(c1 * d2 - 1) < 1e-12 and abs(c2 * d1 - 1) < 1e-12)
-    _require(abs(a1 * b2 - 1) < 1e-12 and abs(a2 * b1 - 1) < 1e-12)
-    _require(0 < a1 < c1 < c2 < a2 < 1 < b1 < d1 < d2 < b2)
-    for r in (c1, c2, d1, d2):
-        _require(abs(ell.q1_eval(x, r)) < 1e-11)
-
-
-def _check_a1_variants() -> None:
-    for x, w in ((0.1, 0.2), (0.15, 0.3)):
-        res = ell.a1_residue(x, w)
-        _require(abs(ell.a1_closed(x, w) - res) <= 1e-11 * abs(res))
-
-
-def _check_closed_route() -> None:
-    for w, x in ((0.2, 0.1), (0.1, 0.05)):
-        closed = ell.alpha_closed(w, x)
-        con = genfun.alpha_contour(w, x)
-        _require(abs(closed - con) < 1e-9, (w, x, closed, con))
-    for x, w in ((0.2, 1e-6), (0.1, 0.2)):  # the terms below are the last point's
-        ref = ell.a2_quadrature(x, w)
-        val, k_coefficient, terms = ell.a2_pi_combination(x, w)
-        _require(abs(val - ref) <= 1e-12 * (1 + ref))
-    (coef_a1, n_a1), (coef_a2, n_a2) = terms
-    _require(n_a1 < 0 < 16 * x * x < n_a2 < 1)
-    _require(abs(k_coefficient + coef_a1 + coef_a2) <= 1e-14 * max(1, abs(coef_a1), abs(coef_a2)))
-    x, w = 1e-5, 0.5  # K/Pi at small x, where A2 is 8e-10
-    ref = ell.a2_quadrature(x, w)
-    _require(abs(ell.a2_pi_combination(x, w)[0] - ref) <= 1e-12 * (1 + ref))
-    w, x = 0.9979196888896462, 0.0010098639841811686  # b1 - a2 is short as w -> 1
-    closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
-    _require(abs(closed / con - 1) <= 1e-12, (w, x, closed, con))
-    w, x = math.sqrt(1 - 4 * 0.24 - 1e-10), 0.24  # 1e-10 from the curve
-    closed, con = ell.alpha_closed(w, x), genfun.alpha_contour(w, x)
-    _require(abs(closed / con - 1) <= 1e-13, (w, x, closed, con))
-
-
-def _check_elliptic_k() -> None:
-    series = (math.pi / 2) * walk_lab.polya_series(0.6, 400)
-    _require(abs(ell.elliptic_K(0.6) - series) < 1e-12)
-
-
-def _check_bonferroni() -> None:
-    b = bounds_mod.bonferroni_bracket(4, 2, 1, 2, 1)
-    _require(b.upper == 3)
-    _require(b.lower == Fraction(-13, 12))
-    _require(b.exact == Fraction(23, 24))
-    _require(b.lower <= b.exact <= b.upper)
-
-
-def _check_ratio_and_stirling() -> None:
-    row = bounds_mod.ratio_table([(4, 2)])[0]
-    _require(row.ratio == 67 / 54)
-    approx_log, _ = bounds_mod.stirling_log_first_moment(2500, 50)
-    exact_log = math.log(math.comb(2500, 50)) - math.log(math.factorial(50))
-    _require(abs(approx_log - exact_log) <= 0.02 * abs(exact_log))
-
-
-def _check_chebyshev() -> None:
-    bound, _ = bounds_mod.chebyshev_a_bound(1, 1)
-    _require(bound >= 10 - 1e-9)
-    bound20, _ = bounds_mod.chebyshev_a_bound(2, 0)
-    _require(bound20 >= exact_core.a_array(2, 0) - 1e-9)
-
-
-SUITES: dict[str, list[tuple[str, callable]]] = {
+# Each check compares one quantity with an independent route at every
+# point: (name, rel, points, got, want), run as _check(rel, points, got,
+# want). The routes are looked up when the check runs. Value pins, root
+# algebra, coefficient identities and guards are left to the tests.
+SUITES: dict[str, list[tuple]] = {
     "exact_core": [
-        ("spot_values", _check_exact_spot_values),
-        ("identities", _check_exact_identities),
+        ("a_direct", 0, [(2, 2)],
+         lambda N, j: exact_core.a_array_direct(N, j), lambda N, j: exact_core.a_array(N, j)),
+        ("a_row", 0, [(N,) for N in range(21)], lambda N: exact_core.a_row(N, 40),
+         lambda N: [exact_core.a_array(N, j) for j in range(41)]),
+        ("moment_weights", 0, [(k,) for k in range(41)], lambda k: exact_core.moment_weights(k),
+         lambda k: tuple(exact_core.a_array(k - i, i) * math.perm(2 * k, i) ** 2
+                         for i in range(k + 1))),
     ],
-    "perm_oracle": [("distribution", _check_perm_distribution)],
+    "perm_oracle": [
+        ("distribution", 0, [(3, 2), (4, 2)],
+         lambda n, k: perm_oracle.moment(perm_oracle.z_distribution(n, k), 2),
+         lambda n, k: exact_core.second_moment(n, k)),
+    ],
     "walk_lab": [
-        ("walk_equals_array", _check_walk_array),
-        ("mc_determinism", _check_walk_mc),
+        ("walk_equals_array", 0, [(N, j) for N in range(9) for j in range(3)],
+         lambda N, j: walk_lab.a_from_walk_exact(N, j), lambda N, j: exact_core.a_array(N, j)),
+        # three chunks, so the thread pool runs, on the one-block kernel
+        # (N = 2) and the popcount-and-walk kernel (N = 5)
+        ("mc_determinism", 0, [(N, 1, 2 * walk_lab._MC_CHUNK + 5, 7) for N in (2, 5)],
+         lambda *p: walk_lab.a_monte_carlo(*p, workers=3), lambda *p: walk_lab.a_monte_carlo(*p)),
     ],
-    "genfun": [("alpha_routes", _check_alpha_routes)],
+    "genfun": [
+        ("alpha_routes", 1e-14, [(0.1, 0.05), (0.3, 0.1)],
+         lambda w, x: genfun.alpha_series(w, x), lambda w, x: genfun.alpha_contour(w, x)),
+    ],
     "elliptic_engine": [
-        ("roots", _check_roots),
-        ("a1_variants", _check_a1_variants),
-        ("closed_route", _check_closed_route),
-        ("elliptic_k", _check_elliptic_k),
+        ("a1_variants", 1e-14, [(0.1, 0.2), (0.15, 0.3)],
+         lambda x, w: ell.a1_residue(x, w), lambda x, w: ell.a1_closed(x, w)),
+        # b1 - a2 is short as w -> 1 at the third point; the last is 1e-10
+        # from the curve 4x + w^2 = 1
+        ("closed_route", 1e-14,
+         [(0.2, 0.1), (0.1, 0.05), (0.9979196888896462, 0.0010098639841811686),
+          (math.sqrt(1 - 4 * 0.24 - 1e-10), 0.24)],
+         lambda w, x: ell.alpha_closed(w, x), lambda w, x: genfun.alpha_contour(w, x)),
+        # at (1e-5, 0.5), K/Pi at small x, A2 is 8e-10
+        ("a2_routes", 1e-12, [(0.2, 1e-6), (0.1, 0.2), (1e-5, 0.5)],
+         lambda x, w: ell.a2_pi_combination(x, w)[0], lambda x, w: ell.a2_quadrature(x, w)),
+        ("elliptic_k", 1e-14, [(0.4, 300), (0.6, 400)],
+         lambda z, terms: (math.pi / 2) * walk_lab.polya_series(z, terms),
+         lambda z, terms: ell.elliptic_K(z)),
     ],
     "bounds": [
-        ("bonferroni", _check_bonferroni),
-        ("ratio_stirling", _check_ratio_and_stirling),
-        ("chebyshev", _check_chebyshev),
+        ("bonferroni", 0, [(4, 2, 1, 2, 1)], _bracket_median,
+         lambda n, k, r, *_: perm_oracle.prob_at_least(n, k, r)),
+        ("ratio", 0, [(4, 2)], lambda n, k: bounds_mod.ratio_table([(n, k)])[0].ratio,
+         lambda n, k: float(exact_core.second_moment(n, k) / exact_core.first_moment(n, k) ** 2)),
+        # the bound clamps the exact A from above: the clamp changes nothing
+        ("chebyshev", 0, [(1, 1), (2, 0)],
+         lambda N, j: min(bounds_mod.chebyshev_a_bound(N, j)[0], exact_core.a_array(N, j)),
+         lambda N, j: exact_core.a_array(N, j)),
     ],
 }
 
@@ -343,9 +265,9 @@ def _cmd_verify(args) -> int:
     rows = []
     failed = False
     for name in names:
-        for check_name, fn in SUITES[name]:
+        for check_name, *check in SUITES[name]:
             try:
-                fn()
+                _check(*check)
                 status = "ok"
             except Exception as exc:  # noqa: BLE001 - report, don't crash
                 status = f"FAIL: {type(exc).__name__}"

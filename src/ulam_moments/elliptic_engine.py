@@ -11,7 +11,7 @@ quartic Q1, picking up one residue on the way:
 with Q2 = Q1 - w^2 xi^2. Both quartics are self-inversive, so their roots
 come in reciprocal pairs. One private _geometry checks the domain and forms
 both root sets and every short distance between them, each without
-cancellation; every route below, q1_roots and q2_roots read it.
+cancellation; every route below and g_tilde read it.
 
 A1 has two evaluators: a1_residue, the log-derivative sum of the branch
 data at a2, and a1_closed, the root product 2 w a2 / Q2'(a2).
@@ -117,19 +117,6 @@ def _geometry(x: float, w: float) -> _Geometry:
                      gb2 * c1 * a1, gb1 * c2 * a2, bm1 * (2 + bm1) / b1)
 
 
-def q1_roots(x: float) -> tuple[float, float, float, float]:
-    """The ordered roots (c1, c2, d1, d2) of Q1, with c1*d2 = c2*d1 = 1."""
-    geo = _geometry(x, 0.0)
-    return geo.c1, geo.c2, geo.d1, geo.d2
-
-
-def q2_roots(x: float, w: float) -> tuple[float, float, float, float]:
-    """The ordered roots (a1, a2, b1, b2) of Q2, with a1*b2 = a2*b1 = 1, on
-    the open domain 4x + w^2 < 1."""
-    geo = _geometry(x, w)
-    return geo.a1, geo.a2, geo.b1, geo.b2
-
-
 def _check_w_floor(x: float, w: float, *shrinking: float) -> None:
     """ArithmeticError unless w^2 and the distances of _geometry that a
     route divides by are all at least 2^-1000.
@@ -167,7 +154,7 @@ def g_tilde(x: float, xi: complex) -> complex:
     with each factor taken as the principal square root (negative reals to
     +i*sqrt). Real and positive between the cuts, and on the cut (c1, c2)
     the value equals the upper-side limit +i*sqrt(-Q1)."""
-    c1, c2, d1, d2 = q1_roots(x)
+    c1, c2, d1, d2 = _geometry(x, 0.0)[:4]
     return (x * principal_sqrt(xi - c1) * principal_sqrt(xi - c2)
             * principal_sqrt(d1 - xi) * principal_sqrt(d2 - xi))
 
@@ -177,16 +164,23 @@ def a1_residue(x: float, w: float) -> float:
 
     g(a1) = -w*a1, so a1 is not a pole of the deformed integrand; the
     residue term is the single contribution 1/(g'(a2) - w), with g'/g the
-    sum of half poles (1/(xi-c1) + 1/(xi-c2) - 1/(d1-xi) - 1/(d2-xi)) / 2.
-    The O(w^2) distance a2 - c2 = g2 comes from _geometry, and
-    a2 - c1 = delta + g2: the naive differences keep no digits near w = 1e-8."""
+    sum of half poles (1/(xi-c1) + 1/(xi-c2) - 1/(d1-xi) - 1/(d2-xi)) / 2
+    and g(a2) = +w*a2. The O(w^2) distance a2 - c2 = g2 comes from
+    _geometry, and a2 - c1 = delta + g2: the naive differences keep no
+    digits near w = 1e-8. As a2/g2 = 1 + c2/g2 and a2/(delta + g2) =
+    1 + c1/(delta + g2), the denominator g'(a2) - w is
+
+        (w/2) (c2/g2 + c1/(delta + g2) - a2/(d1 - a2) - a2/(d2 - a2)),
+
+    with no -w left to cancel: formed as w a2 (g'/g)(a2) - w, it lost
+    digits as w -> 1 at small x (2.8e-12 relative at (2^-18, 0.9999))."""
     geo = _geometry(x, w)
     if w == 0:
         return 0.0
     a2, g2 = geo.a2, geo.g2
     _check_w_floor(x, w, w * w, g2, geo.delta)
-    half_poles = 1 / (geo.delta + g2) + 1 / g2 - 1 / (geo.d1 - a2) - 1 / (geo.d2 - a2)
-    return 1 / (w * a2 * half_poles / 2 - w)  # g(a2) = +w*a2
+    poles = geo.c2 / g2 + geo.c1 / (geo.delta + g2) - a2 / (geo.d1 - a2) - a2 / (geo.d2 - a2)
+    return 2 / (w * poles)
 
 
 def a1_closed(x: float, w: float) -> float:

@@ -144,11 +144,6 @@ def a_from_walk_exact(N: int, j: int) -> int:
     )
 
 
-def return_probability(N: int) -> Fraction:
-    """P((U_{2N}, V_{2N}) = (0,0)) = C(2N,N)^2 / 16^N."""
-    return Fraction(comb(2 * N, N) ** 2, 16**N)
-
-
 @lru_cache(maxsize=None)
 def _block_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only int8 tables of the Monte Carlo kernel: du[code] moves U over

@@ -115,8 +115,8 @@ def test_criterion_06_quartic_roots() -> None:
     inversive pairings to 1e-12, the full ordering chain, and the w -> 0
     degeneration of inner/outer roots, across the shared grid."""
     for x, w in GRID:
-        c1, c2, d1, d2 = ee.q1_roots(x)
-        a1, a2, b1, b2 = ee.q2_roots(x, w)
+        c1, c2, d1, d2 = ee._geometry(x, 0.0)[:4]
+        a1, a2, b1, b2 = ee._geometry(x, w)[4:8]
         for r in (c1, c2, d1, d2):
             res = abs(ee.q1_eval(x, r))
             assert res < 1e-11, (x, r)
@@ -129,9 +129,9 @@ def test_criterion_06_quartic_roots() -> None:
         assert abs(a1 * b2 - 1) < 1e-12 and abs(a2 * b1 - 1) < 1e-12, (x, w)
         assert 0 < a1 < c1 < c2 < a2 < 1 < b1 < d1 < d2 < b2, (x, w)
     for x in (0.02, 0.05, 0.1, 0.15, 0.2):
-        assert ee.q2_roots(x, 0.0) == ee.q1_roots(x), x
-        c = ee.q1_roots(x)
-        a = ee.q2_roots(x, 1e-6)
+        assert ee._geometry(x, 0.0)[4:8] == ee._geometry(x, 0.0)[:4], x
+        c = ee._geometry(x, 0.0)[:4]
+        a = ee._geometry(x, 1e-6)[4:8]
         assert max(abs(ai - ci) for ai, ci in zip(a, c)) < 1e-8, x
     print("criterion 06 (quartic-root suite): PASS")
 
@@ -162,7 +162,7 @@ def test_criterion_08_pi_combination() -> None:
     c0, terms = ee.a2_pi_combination(x, w)[1:]
     spread = 16 * x * x / (1 + 4 * x)  # u1^2 - u2^2, with n = spread / (u1^2 - v_rho)
     poles = [(1 / (1 + 4 * x) - spread / n, coef * spread / n) for coef, n in terms]
-    roots = ee.q2_roots(x, w)
+    roots = ee._geometry(x, w)[4:8]
     rng = np.random.default_rng(1234)
     checked = 0
     while checked < 1000:
@@ -182,13 +182,13 @@ def test_criterion_09_branch_phase() -> None:
     to 1e-9 with probe offset eps = 1e-6."""
     eps = 1e-6
     for x in (0.02, 0.05):
-        c1, c2, _, _ = ee.q1_roots(x)
+        c1, c2 = ee._geometry(x, 0.0)[:2]
         r = (c1 + c2) / 2
         want = math.sqrt(-ee.q1_eval(x, r).real)
         assert abs(ee.g_tilde(x, complex(r, eps)) - 1j * want) < 1e-9, x
         assert abs(ee.g_tilde(x, complex(r, -eps)) + 1j * want) < 1e-9, x
     for x in (0.05, 0.1, 0.15, 0.2):
-        c1, c2, _, _ = ee.q1_roots(x)
+        c1, c2 = ee._geometry(x, 0.0)[:2]
         for t in (0.25, 0.5, 0.75):
             r = c1 + t * (c2 - c1)
             want = math.sqrt(-ee.q1_eval(x, r).real)

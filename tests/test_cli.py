@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end via subprocess."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from ulam_moments import bounds
 from ulam_moments import elliptic_engine as ee
-from ulam_moments import cli, exact_core, walk_lab
+from ulam_moments import cli, exact_core, genfun, perm_oracle, walk_lab
 
 CLI = [sys.executable, "-m", "ulam_moments.cli"]
 
@@ -315,7 +317,7 @@ def test_verify_all_suites() -> None:
     assert res.returncode == 0
     _, rows = parse_csv(res.stdout)
     assert [(r[0], r[1]) for r in rows] == [
-        (suite, check) for suite, checks in cli.SUITES.items() for check, _ in checks
+        (suite, check) for suite, checks in cli.SUITES.items() for check, *_ in checks
     ]
     assert all(r[2] == "ok" for r in rows)
 
@@ -335,19 +337,95 @@ def test_verify_fails_under_python_O() -> None:
                          capture_output=True, text=True, timeout=240)
     assert res.returncode == cli.EXIT_VERIFY, res.stderr
     status = {(r[0], r[1]): r[2] for r in parse_csv(res.stdout)[1]}
-    for check in (("exact_core", "spot_values"), ("exact_core", "identities"),
-                  ("perm_oracle", "distribution"), ("walk_lab", "walk_equals_array"),
-                  ("genfun", "alpha_routes")):
+    for check in (("exact_core", "a_direct"), ("exact_core", "a_row"),
+                  ("exact_core", "moment_weights"), ("perm_oracle", "distribution"),
+                  ("walk_lab", "walk_equals_array"), ("genfun", "alpha_routes")):
         assert status[check] == "FAIL: AssertionError", check
 
 
-@pytest.mark.parametrize(
-    "suite,check",
-    [(suite, check) for suite, checks in cli.SUITES.items() for check, _ in checks],
-)
+CHECKS = [(suite, check) for suite, checks in cli.SUITES.items() for check, *_ in checks]
+
+
+def _entry(suite: str, check: str) -> tuple:
+    """(rel, points, got, want) of one verify check."""
+    return {name: rest for name, *rest in cli.SUITES[suite]}[check]
+
+
+@pytest.mark.parametrize("suite,check", CHECKS)
 def test_verify_check_in_process(suite: str, check: str) -> None:
     """Each verify check run directly, so that a failure shows its assertion."""
-    dict(cli.SUITES[suite])[check]()
+    cli._check(*_entry(suite, check))
+
+
+def _nudged(v):
+    """v one part in a million off, an integer one off; a row or a tuple in
+    its first entry."""
+    if isinstance(v, (tuple, list)):
+        return type(v)([_nudged(v[0]), *v[1:]])
+    if isinstance(v, int):
+        return v + 1
+    if isinstance(v, Fraction):
+        return v * Fraction(1000001, 1000000)
+    return v * (1 + 1e-6)
+
+
+def _one_side(route):
+    return lambda *args: _nudged(route(*args))
+
+
+def _threaded_side(route):
+    """The Monte Carlo estimate nudged on the thread pool only."""
+    return lambda *args, workers=1: (
+        _nudged(route(*args, workers=workers)) if workers > 1 else route(*args))
+
+
+def _ratio_rows(route):
+    return lambda pairs: [dataclasses.replace(r, ratio=r.ratio * (1 + 1e-6)) for r in route(pairs)]
+
+
+# A bound is moved one part in a million past the exact value.
+def _bracket_below_exact(route):
+    def bracket(*args):
+        b = route(*args)
+        return dataclasses.replace(b, upper=b.exact * Fraction(999999, 1000000))
+    return bracket
+
+
+def _bound_below_exact(route):
+    return lambda N, j: (exact_core.a_array(N, j) * (1 - 1e-6),) + route(N, j)[1:]
+
+
+# (suite, check, module, route, perturbation): one side of each check
+PERTURBED = [
+    ("exact_core", "a_direct", exact_core, "a_array_direct", _one_side),
+    ("exact_core", "a_row", exact_core, "a_row", _one_side),
+    ("exact_core", "moment_weights", exact_core, "moment_weights", _one_side),
+    ("perm_oracle", "distribution", perm_oracle, "moment", _one_side),
+    ("walk_lab", "walk_equals_array", walk_lab, "a_from_walk_exact", _one_side),
+    ("walk_lab", "mc_determinism", walk_lab, "a_monte_carlo", _threaded_side),
+    ("genfun", "alpha_routes", genfun, "alpha_series", _one_side),
+    ("elliptic_engine", "a1_variants", ee, "a1_residue", _one_side),
+    ("elliptic_engine", "closed_route", ee, "alpha_closed", _one_side),
+    ("elliptic_engine", "a2_routes", ee, "a2_pi_combination", _one_side),
+    ("elliptic_engine", "elliptic_k", ee, "elliptic_K", _one_side),
+    ("bounds", "bonferroni", bounds, "bonferroni_bracket", _bracket_below_exact),
+    ("bounds", "ratio", bounds, "ratio_table", _ratio_rows),
+    ("bounds", "chebyshev", bounds, "chebyshev_a_bound", _bound_below_exact),
+]
+
+
+def test_every_verify_check_is_perturbed() -> None:
+    assert [(suite, check) for suite, check, *_ in PERTURBED] == CHECKS
+
+
+@pytest.mark.parametrize("suite,check,module,name,perturb", PERTURBED,
+                         ids=[f"{suite}-{check}" for suite, check, *_ in PERTURBED])
+def test_verify_check_catches_a_perturbed_route(suite, check, module, name, perturb,
+                                                monkeypatch) -> None:
+    """No check is vacuous: with one of its routes nudged, it fails."""
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    with pytest.raises(AssertionError):
+        cli._check(*_entry(suite, check))
 
 
 # ------------------------------------------------------------ output plumbing

@@ -104,10 +104,12 @@ def test_prob_at_least_markov_bound() -> None:
     for n in range(2, 7):
         for k in range(2, n + 1):
             mean = exact_core.first_moment(n, k)
+            previous = 1  # P(Z >= r) does not grow with r
             for r in (1, 2, 3):
                 p = perm_oracle.prob_at_least(n, k, r)
-                assert 0 <= p <= 1
+                assert 0 <= p <= previous
                 assert p <= mean / r
+                previous = p
 
 
 def test_prob_at_least_edges() -> None:

