@@ -16,9 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from . import elliptic_engine as ell
-from . import exact_core, genfun, perm_oracle, walk_lab
+import ulam_moments as um  # lazy: a layer loads when a verb or a check first reads it
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -75,12 +73,12 @@ def _write(text: str, args) -> None:
 
 def _cmd_table(args) -> int:
     if args.A:
-        rows = [[N, j, exact_core.a_array(N, j)]
+        rows = [[N, j, um.exact_core.a_array(N, j)]
                 for N in range(args.nmax + 1) for j in range(args.jmax + 1)]
         _emit(["N", "j", "A"], rows, args)
         return EXIT_OK
     if args.moments:
-        rows = [[n, k, exact_core.first_moment(n, k), exact_core.second_moment(n, k)]
+        rows = [[n, k, um.exact_core.first_moment(n, k), um.exact_core.second_moment(n, k)]
                 for n in range(1, args.nmax + 1) for k in range(1, n + 1)]
         _emit(["n", "k", "first_moment", "second_moment"], rows, args)
         return EXIT_OK
@@ -89,8 +87,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    est, err = walk_lab.a_monte_carlo(args.N, args.j, args.samples, args.seed, args.workers)
-    exact = exact_core.a_array(args.N, args.j)
+    est, err = um.walk_lab.a_monte_carlo(args.N, args.j, args.samples, args.seed, args.workers)
+    exact = um.exact_core.a_array(args.N, args.j)
     if err > 0:
         z = (est - exact) / err
     else:  # no spread: 0 on the exact value, else infinite with the sign of the miss
@@ -104,9 +102,9 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_genfun(args) -> int:
-    trunc = genfun.SeriesTruncation()
-    ser = genfun.alpha_series(args.w, args.x, trunc)
-    con = genfun.alpha_contour(args.w, args.x)
+    trunc = um.genfun.SeriesTruncation()
+    ser = um.genfun.alpha_series(args.w, args.x, trunc)
+    con = um.genfun.alpha_contour(args.w, args.x)
     _emit(
         ["w", "x", "alpha_series", "alpha_contour", "tail_bound", "abs_diff"],
         [[args.w, args.x, ser, con, trunc.tail_bound, abs(ser - con)]],
@@ -118,14 +116,14 @@ def _cmd_genfun(args) -> int:
 def _cmd_elliptic(args) -> int:
     x, w = args.x, args.w
     if args.dump_reduction:
-        _, k_coefficient, terms = ell.a2_pi_combination(x, w)
+        _, k_coefficient, terms = um.elliptic_engine.a2_pi_combination(x, w)
         payload = {"modulus_k": 4 * x, "k_coefficient": k_coefficient,
                    "terms": [list(t) for t in terms]}
         _write(json.dumps(payload, indent=2) + "\n", args)
         return EXIT_OK
-    a1 = ell.a1_closed(x, w)
-    a2_ref = ell.a2_quadrature(x, w)
-    a2_cl = ell.a2_pi_combination(x, w)[0]  # the A2 of alpha_closed
+    a1 = um.elliptic_engine.a1_closed(x, w)
+    a2_ref = um.elliptic_engine.a2_quadrature(x, w)
+    a2_cl = um.elliptic_engine.a2_pi_combination(x, w)[0]  # the A2 of alpha_closed
     routes = [("closed", a2_cl), ("checkpoint", a2_ref)]  # the reference, residual 0
     if w > 0:
         routes.append(("pi_combination", a2_cl))
@@ -136,7 +134,7 @@ def _cmd_elliptic(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.mode == "bracket":
-        b = bounds_mod.bonferroni_bracket(
+        b = um.bounds.bonferroni_bracket(
             args.n, args.k, args.r, args.R_even, args.R_odd
         )
         _emit(
@@ -146,12 +144,12 @@ def _cmd_bounds(args) -> int:
         )
         return EXIT_OK
     if args.mode == "ratio":
-        rows = [[r.n, r.k, r.ratio] for r in bounds_mod.ratio_table(args.pairs)]
+        rows = [[r.n, r.k, r.ratio] for r in um.bounds.ratio_table(args.pairs)]
         _emit(["n", "k", "ratio"], rows, args)
         return EXIT_OK
     if args.mode == "chebyshev":
-        bound, (xs, ws) = bounds_mod.chebyshev_a_bound(args.N, args.j)
-        exact = exact_core.a_array(args.N, args.j)
+        bound, (xs, ws) = um.bounds.chebyshev_a_bound(args.N, args.j)
+        exact = um.exact_core.a_array(args.N, args.j)
         _emit(
             ["N", "j", "bound", "x_star", "w_star", "exact_A"],
             [[args.N, args.j, bound, xs, ws, exact]],
@@ -159,7 +157,7 @@ def _cmd_bounds(args) -> int:
         )
         return EXIT_OK
     # stirling
-    approx_log, delta = bounds_mod.stirling_log_first_moment(args.n, args.k)
+    approx_log, delta = um.bounds.stirling_log_first_moment(args.n, args.k)
     exact_log = math.log(math.comb(args.n, args.k)) - math.log(math.factorial(args.k))
     _emit(
         ["n", "k", "approx_log", "delta", "exact_log"],
@@ -170,8 +168,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_polya(args) -> int:
-    partial = walk_lab.polya_series(args.z, args.terms)
-    reference = (2 / math.pi) * ell.elliptic_K(args.z)
+    partial = um.walk_lab.polya_series(args.z, args.terms)
+    reference = (2 / math.pi) * um.elliptic_engine.elliptic_K(args.z)
     _emit(
         ["z", "terms", "partial_sum", "elliptic_value", "abs_diff"],
         [[args.z, args.terms, partial, reference, abs(partial - reference)]],
@@ -196,7 +194,7 @@ def _check(rel: float, points: list[tuple], got, want) -> None:
 def _bracket_median(n: int, k: int, r: int, R_even: int, R_odd: int):
     """The exact P(Z >= r) clamped into its Bonferroni bracket: it is the
     exact value iff the bracket holds it."""
-    b = bounds_mod.bonferroni_bracket(n, k, r, R_even, R_odd)
+    b = um.bounds.bonferroni_bracket(n, k, r, R_even, R_odd)
     return sorted((b.lower, b.exact, b.upper))[1]
 
 
@@ -206,56 +204,63 @@ def _bracket_median(n: int, k: int, r: int, R_even: int, R_odd: int):
 # algebra, coefficient identities and guards are left to the tests.
 SUITES: dict[str, list[tuple]] = {
     "exact_core": [
-        ("a_direct", 0, [(2, 2)],
-         lambda N, j: exact_core.a_array_direct(N, j), lambda N, j: exact_core.a_array(N, j)),
-        ("a_row", 0, [(N,) for N in range(21)], lambda N: exact_core.a_row(N, 40),
-         lambda N: [exact_core.a_array(N, j) for j in range(41)]),
-        ("moment_weights", 0, [(k,) for k in range(41)], lambda k: exact_core.moment_weights(k),
-         lambda k: tuple(exact_core.a_array(k - i, i) * math.perm(2 * k, i) ** 2
+        ("a_direct", 0, [(2, 2)], lambda N, j: um.exact_core.a_array_direct(N, j),
+         lambda N, j: um.exact_core.a_array(N, j)),
+        ("a_row", 0, [(N,) for N in range(21)], lambda N: um.exact_core.a_row(N, 40),
+         lambda N: [um.exact_core.a_array(N, j) for j in range(41)]),
+        ("moment_weights", 0, [(k,) for k in range(41)],
+         lambda k: um.exact_core.moment_weights(k),
+         lambda k: tuple(um.exact_core.a_array(k - i, i) * math.perm(2 * k, i) ** 2
                          for i in range(k + 1))),
     ],
     "perm_oracle": [
         ("distribution", 0, [(3, 2), (4, 2)],
-         lambda n, k: perm_oracle.moment(perm_oracle.z_distribution(n, k), 2),
-         lambda n, k: exact_core.second_moment(n, k)),
+         lambda n, k: um.perm_oracle.moment(um.perm_oracle.z_distribution(n, k), 2),
+         lambda n, k: um.exact_core.second_moment(n, k)),
     ],
     "walk_lab": [
         ("walk_equals_array", 0, [(N, j) for N in range(9) for j in range(3)],
-         lambda N, j: walk_lab.a_from_walk_exact(N, j), lambda N, j: exact_core.a_array(N, j)),
-        # three chunks, so the thread pool runs, on the one-block kernel
-        # (N = 2) and the popcount-and-walk kernel (N = 5)
-        ("mc_determinism", 0, [(N, 1, 2 * walk_lab._MC_CHUNK + 5, 7) for N in (2, 5)],
-         lambda *p: walk_lab.a_monte_carlo(*p, workers=3), lambda *p: walk_lab.a_monte_carlo(*p)),
+         lambda N, j: um.walk_lab.a_from_walk_exact(N, j),
+         lambda N, j: um.exact_core.a_array(N, j)),
+        # three chunks of walk_lab._MC_CHUNK = 2^16, so the thread pool runs,
+        # on the one-block kernel (N = 2) and the popcount-and-walk kernel (N = 5)
+        ("mc_determinism", 0, [(N, 1, 2 * 2**16 + 5, 7) for N in (2, 5)],
+         lambda *p: um.walk_lab.a_monte_carlo(*p, workers=3),
+         lambda *p: um.walk_lab.a_monte_carlo(*p)),
     ],
     "genfun": [
         ("alpha_routes", 1e-14, [(0.1, 0.05), (0.3, 0.1)],
-         lambda w, x: genfun.alpha_series(w, x), lambda w, x: genfun.alpha_contour(w, x)),
+         lambda w, x: um.genfun.alpha_series(w, x), lambda w, x: um.genfun.alpha_contour(w, x)),
     ],
     "elliptic_engine": [
         ("a1_variants", 1e-14, [(0.1, 0.2), (0.15, 0.3)],
-         lambda x, w: ell.a1_residue(x, w), lambda x, w: ell.a1_closed(x, w)),
+         lambda x, w: um.elliptic_engine.a1_residue(x, w),
+         lambda x, w: um.elliptic_engine.a1_closed(x, w)),
         # b1 - a2 is short as w -> 1 at the third point; the last is 1e-10
         # from the curve 4x + w^2 = 1
         ("closed_route", 1e-14,
          [(0.2, 0.1), (0.1, 0.05), (0.9979196888896462, 0.0010098639841811686),
           (math.sqrt(1 - 4 * 0.24 - 1e-10), 0.24)],
-         lambda w, x: ell.alpha_closed(w, x), lambda w, x: genfun.alpha_contour(w, x)),
+         lambda w, x: um.elliptic_engine.alpha_closed(w, x),
+         lambda w, x: um.genfun.alpha_contour(w, x)),
         # at (1e-5, 0.5), K/Pi at small x, A2 is 8e-10
         ("a2_routes", 1e-12, [(0.2, 1e-6), (0.1, 0.2), (1e-5, 0.5)],
-         lambda x, w: ell.a2_pi_combination(x, w)[0], lambda x, w: ell.a2_quadrature(x, w)),
+         lambda x, w: um.elliptic_engine.a2_pi_combination(x, w)[0],
+         lambda x, w: um.elliptic_engine.a2_quadrature(x, w)),
         ("elliptic_k", 1e-14, [(0.4, 300), (0.6, 400)],
-         lambda z, terms: (math.pi / 2) * walk_lab.polya_series(z, terms),
-         lambda z, terms: ell.elliptic_K(z)),
+         lambda z, terms: (math.pi / 2) * um.walk_lab.polya_series(z, terms),
+         lambda z, terms: um.elliptic_engine.elliptic_K(z)),
     ],
     "bounds": [
         ("bonferroni", 0, [(4, 2, 1, 2, 1)], _bracket_median,
-         lambda n, k, r, *_: perm_oracle.prob_at_least(n, k, r)),
-        ("ratio", 0, [(4, 2)], lambda n, k: bounds_mod.ratio_table([(n, k)])[0].ratio,
-         lambda n, k: float(exact_core.second_moment(n, k) / exact_core.first_moment(n, k) ** 2)),
+         lambda n, k, r, *_: um.perm_oracle.prob_at_least(n, k, r)),
+        ("ratio", 0, [(4, 2)], lambda n, k: um.bounds.ratio_table([(n, k)])[0].ratio,
+         lambda n, k: float(um.exact_core.second_moment(n, k)
+                            / um.exact_core.first_moment(n, k) ** 2)),
         # the bound clamps the exact A from above: the clamp changes nothing
         ("chebyshev", 0, [(1, 1), (2, 0)],
-         lambda N, j: min(bounds_mod.chebyshev_a_bound(N, j)[0], exact_core.a_array(N, j)),
-         lambda N, j: exact_core.a_array(N, j)),
+         lambda N, j: min(um.bounds.chebyshev_a_bound(N, j)[0], um.exact_core.a_array(N, j)),
+         lambda N, j: um.exact_core.a_array(N, j)),
     ],
 }
 

@@ -73,11 +73,12 @@ class SeriesTruncation:
 
 
 def _check_alpha_domain(w: float, x: float) -> None:
-    if x < 0 or w < 0:
+    # negated comparisons, so that NaN fails each of them
+    if not (x >= 0 and w >= 0):
         raise ValueError(f"alpha needs w >= 0 and x >= 0, got (w={w}, x={x})")
-    if 4 * x >= 1:
+    if not 4 * x < 1:
         raise ValueError(f"alpha needs x < 1/4, got x={x}")
-    if w * w >= 1 - 4 * x:
+    if not w * w < 1 - 4 * x:
         raise ValueError(
             f"alpha singular at w^2 >= 1 - 4x: got w={w}, x={x}"
         )

@@ -139,6 +139,13 @@ def test_genfun_tail_bound_covers_the_difference() -> None:
     assert float(row["tail_bound"]) >= float(row["abs_diff"])
 
 
+def test_genfun_nan_is_a_domain_error() -> None:
+    res = run_cli("genfun", "--x", "nan", "--w", "0.1")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "alpha needs w >= 0 and x >= 0" in res.stderr
+
+
 @pytest.mark.parametrize("flag", ["--nmax", "--jmax"])
 def test_genfun_has_no_truncation_flags(flag: str) -> None:
     """The series table is fixed at 91 x 161; a size flag is malformed."""
@@ -412,6 +419,13 @@ PERTURBED = [
     ("bounds", "ratio", bounds, "ratio_table", _ratio_rows),
     ("bounds", "chebyshev", bounds, "chebyshev_a_bound", _bound_below_exact),
 ]
+
+
+def test_mc_determinism_spans_three_chunks() -> None:
+    """The row's sample count is written out; it must keep the thread pool
+    busy with three chunks of walk_lab._MC_CHUNK."""
+    _, points, *_ = _entry("walk_lab", "mc_determinism")
+    assert all(2 * walk_lab._MC_CHUNK < p[2] <= 3 * walk_lab._MC_CHUNK for p in points)
 
 
 def test_every_verify_check_is_perturbed() -> None:

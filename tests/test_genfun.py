@@ -304,6 +304,16 @@ def test_alpha_domain_guards() -> None:
             fn(0.95, 0.05)
 
 
+@pytest.mark.parametrize("fn", [genfun.alpha_series, genfun.alpha_contour],
+                         ids=["series", "contour"])
+@pytest.mark.parametrize("w,x", [(0.1, math.nan), (math.nan, 0.1), (math.nan, math.nan)])
+def test_alpha_domain_refuses_nan(fn, w: float, x: float) -> None:
+    """NaN fails every comparison, so the guards are written to fail on it:
+    ValueError up front, not a NaN series sum or a contour run to its node cap."""
+    with pytest.raises(ValueError, match="alpha needs"):
+        fn(w, x)
+
+
 def test_alpha_contour_cap_raises(monkeypatch) -> None:
     """The cap stops the doubling, after one level past the first here:
     at (w, x) = (0.1, 0.2) the 16- and 32-node means differ by about 1e-7."""
