@@ -229,7 +229,8 @@ SUITES: dict[str, list[tuple]] = {
          lambda *p: um.walk_lab.a_monte_carlo(*p)),
     ],
     "genfun": [
-        ("alpha_routes", 1e-14, [(0.1, 0.05), (0.3, 0.1)],
+        # at the third point alpha is 668, four fifths of it in columns j > 160
+        ("alpha_routes", 1e-14, [(0.1, 0.05), (0.3, 0.1), (0.9975, 0.001)],
          lambda w, x: um.genfun.alpha_series(w, x), lambda w, x: um.genfun.alpha_contour(w, x)),
     ],
     "elliptic_engine": [

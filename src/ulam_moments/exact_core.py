@@ -56,10 +56,10 @@ def binomial(n: int, k: int) -> int:
 
 
 def b_coefficient(n: int, j: int) -> Fraction:
-    """B(N, j) = C(N, j)/j!, zero when j > N."""
-    if j < 0 or j > n:
-        return Fraction(0)
-    return Fraction(binomial(n, j), factorial(j))
+    """B(N, j) = C(N, j)/j!, zero when j is outside 0..N; negative N raises
+    ``binomial``'s ValueError."""
+    c = binomial(n, j)
+    return Fraction(c, factorial(j)) if c else Fraction(0)
 
 
 def kernel(l: int, m: int) -> int:

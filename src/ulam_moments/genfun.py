@@ -3,28 +3,17 @@
 alpha(w, x) = sum_{N,j} A(N, j) x^{2N} w^j is the weighted diagonal of the
 kernel-power array. Two independent evaluation routes live here:
 
- * alpha_series: truncated double sum over the cached 91 x 161 table of
-   A(N, j) / 16^N, rows of exact integers from the recurrence in j of
-   ``exact_core.a_row``, each rounded once, with a closed-form bound on
-   the dropped terms written back into the optional output record. Every
-   A(N, j) is nonnegative, so the mass in rows N >= 91 is at most
-   (x/x')^182 alpha(w, x') for any larger x' still inside the domain, and
-   that in columns j >= 161 at most (w/w')^161 alpha(w', x) for any
-   larger w': a shift of the radius, as in Cauchy's coefficient bound
-   (P. Flajolet and R. Sedgewick, Analytic Combinatorics, 2009, ch. IV).
-   The contour integrand below peaks at theta = 0, so
-   alpha(w, x) <= 1 / (s - w) = (s + w) / eps, s = sqrt(1 - 4x), and
-   both shifts have closed-form minimisers.
- * alpha_contour: the same quantity as a single contour mean over the unit
-   circle, in real arithmetic over theta in [0, pi]: there the integrand
-   1 / (g - w), g the algebraic square root of Q1 / xi^2, is real, positive
-   and even, and is formed as (g + w) / (eps + ...) from positive terms,
-   eps = 1 - 4x - w^2 correct to a few ulps, so it keeps its digits
-   up to the curve 4x + w^2 = 1. The trapezoid mean converges like
-   exp(-n d), d the nearest singularity's distance from the real theta
-   axis; where d < 1/4 a Moebius map of the circle packs the nodes there
-   (Trefethen and Weideman, SIAM Rev. 56, 2014). From 16 nodes it doubles
-   until two levels agree to 1e-12, and raises past 2^18 nodes.
+ * alpha_series: the rows N <= 90, each summed over all j in closed form
+   as one bilinear form over a cached table of the forward differences
+   D(N, m) / 16^N of A(N, .), with a closed-form bound on the rows it
+   drops. Every A(N, j) is nonnegative, so that bound is a shift of the
+   radius in x, as in Cauchy's coefficient bound (P. Flajolet and
+   R. Sedgewick, Analytic Combinatorics, 2009, ch. IV), on
+   alpha(w, x) <= 1 / (s - w), s = sqrt(1 - 4x).
+ * alpha_contour: the same quantity as the trapezoid mean of its contour
+   integral over the unit circle, in real arithmetic over theta in [0, pi]
+   and Moebius-mapped near the singularity, doubled from 16 nodes until
+   two levels agree to 1e-12.
 
 The closed-form route (complete elliptic integrals) lives in the companion
 elliptic module; tests pin all routes against each other.
@@ -40,7 +29,7 @@ import numpy as np
 from . import exact_core
 
 _N_MAX = 90
-_J_MAX = 160
+_POWERS = np.arange(2 * _N_MAX + 2)
 _CONTOUR_NODES = 16
 _CONTOUR_MAX_NODES = 1 << 18
 _CONTOUR_TOL = 1e-12
@@ -63,11 +52,10 @@ def principal_sqrt(z: complex) -> complex:
 
 @dataclass
 class SeriesTruncation:
-    """Output record of alpha_series: tail_bound is filled by the call with
-    a closed-form upper bound on the mass outside the table,
-    alpha(w, x) - alpha_series(w, x) before rounding. It is finite on the
-    whole domain 0 <= x < 1/4, w >= 0, 4x + w^2 < 1, and at most
-    2 (s + w) / eps, twice the bound on alpha itself."""
+    """Output record of alpha_series: the call fills tail_bound with a
+    closed-form upper bound on the rows outside the table,
+    alpha(w, x) - alpha_series(w, x) before rounding, finite on the whole
+    domain 0 <= x < 1/4, w >= 0, 4x + w^2 < 1, and at most (s + w) / eps."""
 
     tail_bound: float | None = None
 
@@ -79,69 +67,81 @@ def _check_alpha_domain(w: float, x: float) -> None:
     if not 4 * x < 1:
         raise ValueError(f"alpha needs x < 1/4, got x={x}")
     if not w * w < 1 - 4 * x:
-        raise ValueError(
-            f"alpha singular at w^2 >= 1 - 4x: got w={w}, x={x}"
-        )
+        raise ValueError(f"alpha singular at w^2 >= 1 - 4x: got w={w}, x={x}")
+
+
+def _diff_row(N: int) -> list[int]:
+    """[D(N, 0), ..., D(N, 2N)] in exact integers; see diag_table."""
+    a = exact_core.a_row(N, 2)
+    d = [a[0], a[1] - a[0], a[2] - 2 * a[1] + a[0]]
+    c1, b2, c2 = 8 * N * N + 6 * N - 8, 6 * N + 16, 10 * N + 16
+    for m in range(2 * N - 2):
+        d.append(-(2 * (m + 1) * (m - 2 * N) * d[m] + (5 * m * m + 13 * m - c1) * d[m + 1]
+                   + (4 * m * m + b2 * m + c2) * d[m + 2]) // ((m + 2) * (m + 2 * N + 3)))
+    return d[:2 * N + 1]
 
 
 @lru_cache(maxsize=None)
 def diag_table() -> np.ndarray:
-    """Read-only cached table tab[N, j] = A(N, j) / 16^N, N <= 90, j <= 160,
-    each entry the exact integer quotient correctly rounded to a float. Row N
-    comes from ``exact_core.a_row``, one exact two-step ratio per entry."""
-    rows = []
-    for N in range(_N_MAX + 1):
-        scale = 16**N
-        rows.append([a / scale for a in exact_core.a_row(N, _J_MAX)])
-    tab = np.array(rows)
+    """Read-only cached (182, 91) table tab[m, N - ceil(m/2)] = D(N, m) / 16^N,
+    m <= 2N, N <= 90, zero elsewhere, each exact integer quotient rounded
+    once. D(N, m) = sum_k (-1)^(m-k) C(m, k) A(N, k) is the m-th forward
+    difference of A(N, .) at 0, so A(N, j) = sum_m D(N, m) C(j, m). With
+    Pinsky's A(N, j) = sum_tau h_N(tau) C(tau + j - 1, j), h_N the histogram
+    of axis visits of returning walks (``walk_lab.enumerate_walks``), and
+    Vandermonde's C(tau + j - 1, j) = sum_m C(tau - 1, m) C(j, m),
+        D(N, m) = sum_{tau >= 1} h_N(tau) C(tau - 1, m) >= 0,
+    zero for m > 2N. ``_diff_row`` takes D(N, 0..2) from a_row(N, 2) and
+    the rest from a three-term recurrence in m, in exact divisions. It was
+    found by fitting; the tests check it against the forward differences
+    for every N <= 90, the table's whole range."""
+    N = np.repeat(_POWERS[:_N_MAX + 1], 2 * _POWERS[:_N_MAX + 1] + 1)
+    m = np.arange(N.size) - N * N  # row N starts at sum_{k<N} (2k + 1) = N^2
+    tab = np.zeros((2 * _N_MAX + 2, _N_MAX + 1))
+    # float(d) rounds once; scaling by 16^-n is exact in float range
+    tab[m, N - (m + 1) // 2] = [math.ldexp(d, -4 * n) for n in range(_N_MAX + 1)
+                                for d in _diff_row(n)]
     tab.flags.writeable = False
     return tab
 
 
 def alpha_series(w: float, x: float, trunc: SeriesTruncation | None = None) -> float:
-    """Truncated double sum over the normalized diagonal table.
-
-    Row N contributes (16 x^2)^N * sum_j tab[N, j] w^j, tab the
-    diag_table. When an output record is supplied, its tail_bound field
-    receives _tail_bound(w, x), an upper bound on the dropped rows and
-    columns together: alpha(w, x) - total <= tail_bound, up to rounding.
-    """
+    """The rows N <= 90 of alpha, each summed over all j in closed form:
+    with y = 4x and p = yw/(1 - w) < (1 + w) w < 2, as
+    sum_j C(j, m) w^j = w^m / (1 - w)^(m+1), row N is
+    sum_m D(N, m) / 16^N y^(2N - m) p^m / (1 - w). Split by the parity of m
+    this is u . tab . v, u[m] = p^m y^(m mod 2), v[i] = y^(2i): no term is
+    negative and no power leaves float range. An output record receives
+    _tail_bound(w, x) >= alpha(w, x) - total, up to rounding."""
     _check_alpha_domain(w, x)
-    base = (16.0 * x * x) ** np.arange(_N_MAX + 1)
-    shells = (diag_table() @ w ** np.arange(_J_MAX + 1)) * base
-    total = float(shells.sum())
+    y = 4.0 * x
+    u = (y * w / (1 - w)) ** _POWERS
+    u[1::2] *= y
+    total = float(u @ diag_table() @ (y * y) ** _POWERS[:_N_MAX + 1]) / (1 - w)
     if trunc is not None:
         trunc.tail_bound = _tail_bound(w, x)
     return total
 
 
 def _tail_bound(w: float, x: float) -> float:
-    """An upper bound on the terms the table drops: the rows N >= M = 91
-    plus the columns j >= L = 161 (their overlap counts twice).
-
+    """An upper bound on the rows N >= M = 91 that the table drops. As
     alpha(w, x) <= 1 / (s - w) = (s + w) / eps, s = sqrt(1 - 4x), and all
-    A(N, j) >= 0. So the rows weigh at most (x/x')^(2M) / (s' - w),
+    A(N, j) >= 0, the rows weigh at most (x/x')^(2M) / (s' - w),
     s' = sqrt(1 - 4x'), for any x < x' < (1 - w^2)/4. Its minimiser s' is
     the positive root of (4M + 1) s'^2 - 4M w s' - 1 = 0, which gives
     s' - w = (1 - s'^2) / (4M s') and, with r = sqrt((4M w)^2 + 16M + 4),
     1 - s' = 8M (1 - w) / (4M (2 - w) + 2 + r): q = 1 - s'^2 = 4x' is a
-    product of positive terms, and the rows give (4x/q)^(2M) 4M s'/q. The
-    columns weigh at most (w/w')^L / (s - w') for any w < w' < s, least at
-    w' = L s/(L + 1), where s - w' = s/(L + 1). Where a minimiser falls
-    outside its interval (x' <= x, or w' <= w), that part is (s + w) / eps,
-    eps from _curve_gap. Nothing cancels, so the bound keeps its digits up
-    to the curve 4x + w^2 = 1; the rows give 0 at x = 0, the columns 0 at
-    w = 0.
+    product of positive terms, and the rows give (4x/q)^(2M) 4M s'/q, 0 at
+    x = 0. Where x' <= x the bound is (s + w) / eps, eps from _curve_gap.
+    Nothing cancels, so it keeps its digits up to the curve 4x + w^2 = 1.
     """
-    s = math.sqrt(1 - 4 * x)
-    whole = (s + w) / _curve_gap(x, w)
-    M, L = _N_MAX + 1, _J_MAX + 1
+    M = _N_MAX + 1
     r = math.sqrt((4 * M * w) ** 2 + 16 * M + 4)
     s1 = (4 * M * w + r) / (8 * M + 2)
     q = 8 * M * (1 - w) * (1 + s1) / (4 * M * (2 - w) + 2 + r)
-    w1 = L * s / (L + 1)
-    rows = (4 * x / q) ** (2 * M) * 4 * M * s1 / q if 4 * x < q else whole
-    return rows + ((w / w1) ** L * (L + 1) / s if w < w1 else whole)
+    if 4 * x < q:
+        return (4 * x / q) ** (2 * M) * 4 * M * s1 / q
+    return (math.sqrt(1 - 4 * x) + w) / _curve_gap(x, w)
 
 
 def _curve_gap(x: float, w: float) -> float:

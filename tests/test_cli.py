@@ -129,8 +129,8 @@ def test_genfun_routes_agree() -> None:
 
 
 def test_genfun_tail_bound_covers_the_difference() -> None:
-    """Next to the curve, where the series is 2.94 off, tail_bound still
-    bounds the printed difference from the contour."""
+    """Next to the curve, where the series is 2.85 off, tail_bound (277)
+    still bounds the printed difference from the contour."""
     res = run_cli("genfun", "--x", "0.1768", "--w", "0.5375")
     assert res.returncode == 0
     header, rows = parse_csv(res.stdout)
@@ -148,7 +148,7 @@ def test_genfun_nan_is_a_domain_error() -> None:
 
 @pytest.mark.parametrize("flag", ["--nmax", "--jmax"])
 def test_genfun_has_no_truncation_flags(flag: str) -> None:
-    """The series table is fixed at 91 x 161; a size flag is malformed."""
+    """The series table is fixed at the rows N <= 90; a size flag is malformed."""
     res = run_cli("genfun", "--x", "0.1", "--w", "0.3", flag, "10")
     assert res.returncode == 64
     assert res.stdout == ""

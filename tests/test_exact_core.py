@@ -41,6 +41,9 @@ def test_b_coefficient() -> None:
     assert exact_core.b_coefficient(5, 2) == Fraction(10, 2)
     assert exact_core.b_coefficient(5, 6) == 0
     assert exact_core.b_coefficient(5, 0) == 1
+    assert exact_core.b_coefficient(5, -1) == 0
+    with pytest.raises(ValueError, match="n >= 0"):
+        exact_core.b_coefficient(-1, 0)
 
 
 @pytest.mark.parametrize("l", range(7))
@@ -134,8 +137,8 @@ def test_a_array_matches_convolution_sweep() -> None:
 
 
 def test_a_row_matches_product_form() -> None:
-    """The two-step row recurrence reproduces the closed form on the whole
-    91 x 161 rectangle of the series table, and on the shortest rows."""
+    """The two-step row recurrence reproduces the closed form on the
+    rectangle N <= 90, j <= 160, and on the shortest rows."""
     for N in range(91):
         assert exact_core.a_row(N, 160) == [exact_core.a_array(N, j) for j in range(161)], N
         for J in (0, 1):

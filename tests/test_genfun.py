@@ -5,14 +5,16 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ulam_moments import exact_core, genfun
+from ulam_moments import exact_core, genfun, walk_lab
 from ulam_moments.elliptic_engine import alpha_closed, q1_eval
 from ulam_moments.genfun import SeriesTruncation, principal_sqrt
 
@@ -109,22 +111,59 @@ def test_diagonal_extract_cap_raises() -> None:
 # ---------------------------------------------------------------- the table
 
 
-def test_diag_table_is_exact_quotient() -> None:
-    """Every entry of the 91 x 161 table is A(N, j) / 16^N rounded once."""
-    tab = genfun.diag_table()
-    assert tab.shape == (91, 161)
+@lru_cache(maxsize=None)
+def _forward_differences(N: int) -> tuple[int, ...]:
+    """D(N, 0..2N+2): the forward differences at 0 of exact_core.a_array(N, .)."""
+    row = [exact_core.a_array(N, j) for j in range(2 * N + 3)]
+    out = []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(out)
+
+
+def test_diff_row_is_the_forward_differences() -> None:
+    """For every N <= 90, the table's whole range, the recurrence gives the
+    forward differences of A(N, .) exactly; all are nonnegative, and those
+    past m = 2N vanish, as A(N, .) has degree 2N."""
     for N in range(91):
-        for j in range(161):
-            assert tab[N, j] == exact_core.a_array(N, j) / 16**N, (N, j)
+        want = _forward_differences(N)
+        assert genfun._diff_row(N) == list(want[:2 * N + 1]), N
+        assert want[2 * N + 1:] == (0, 0), N
+        assert min(want) >= 0, N
+
+
+def test_diff_row_is_the_walk_route() -> None:
+    """D(N, m) = sum_tau h_N(tau) C(tau - 1, m), h_N the occupation-count
+    histogram of the returning walks: why every D(N, m) is nonnegative."""
+    for N in range(13):
+        hist = walk_lab.enumerate_walks(N)
+        want = [sum(h * math.comb(tau - 1, m) for tau, h in enumerate(hist) if tau)
+                for m in range(2 * N + 3)]
+        assert genfun._diff_row(N) + [0, 0] == want, N
+
+
+def test_diag_table_is_exact_quotient() -> None:
+    """Every entry of the (182, 91) table is D(N, m) / 16^N rounded once,
+    at [m, N - ceil(m/2)], and the other entries are zero."""
+    tab = genfun.diag_table()
+    assert tab.shape == (182, 91)
+    want = np.zeros((182, 91))
+    for N in range(91):
+        for m, d in enumerate(_forward_differences(N)[:2 * N + 1]):
+            want[m, N - (m + 1) // 2] = d / 16**N
+    assert np.array_equal(tab, want)
+    assert np.count_nonzero(tab) == 91 * 91
 
 
 def test_diag_table_exact_region_stitch() -> None:
-    """The low corner of the table scales back to the integers A(N, j)."""
+    """The low corner of the table rebuilds the integers A(N, j) as
+    16^N sum_m tab[m, N - ceil(m/2)] C(j, m)."""
     tab = genfun.diag_table()
-    for N in range(0, 9):
-        for j in range(0, 7):
-            want = exact_core.a_array(N, j)
-            assert tab[N, j] * 16**N == pytest.approx(want, rel=1e-15)
+    for N in range(9):
+        for j in range(7):
+            got = sum(tab[m, N - (m + 1) // 2] * math.comb(j, m) for m in range(2 * N + 1))
+            assert got * 16**N == pytest.approx(exact_core.a_array(N, j), rel=1e-15), (N, j)
 
 
 def test_float_recursion_matches_exact_integers() -> None:
@@ -132,11 +171,11 @@ def test_float_recursion_matches_exact_integers() -> None:
     exact quotients."""
     genfun.diag_table.cache_clear()
     raw = genfun.diag_table()
-    assert raw.shape == (91, 161)
+    assert raw.shape == (182, 91)
     assert not raw.flags.writeable
     for N in range(13):
-        for j in range(9):
-            assert raw[N, j] == exact_core.a_array(N, j) / 16**N, (N, j)
+        for m, d in enumerate(_forward_differences(N)[:2 * N + 1]):
+            assert raw[m, N - (m + 1) // 2] == d / 16**N, (N, m)
 
 
 def test_diag_table_builds_rows_without_per_entry_closed_form(monkeypatch) -> None:
@@ -162,19 +201,53 @@ def test_diag_table_builds_rows_without_per_entry_closed_form(monkeypatch) -> No
 # -------------------------------------------------------------------- alpha
 
 
+def _rows_enclosure(w: Fraction, x: Fraction) -> tuple[Fraction, Fraction]:
+    """(S, T) exact, with S <= alpha(w, x) <= S + T. S is the sum of the
+    rows N <= 90, each in closed form,
+    x^(2N) sum_m D(N, m) q^m / (1 - w), q = w/(1 - w), with D from
+    exact_core.a_array; T is the rows majorant (4x/(1 - s'^2))^182 / (s' - w)
+    at a rational s' just below the minimiser of _tail_bound, from
+    math.isqrt. It needs w < s' < sqrt(1 - 4x)."""
+    M = 91
+    (a, b), (c, d) = x.as_integer_ratio(), w.as_integer_ratio()
+    e = d - c
+    cm = [c**m * e ** (2 * M - 2 - m) for m in range(2 * M - 1)]
+    total = sum(a ** (2 * N) * b ** (2 * M - 2 - 2 * N)
+                * sum(D * cm[m] for m, D in enumerate(_forward_differences(N)[:2 * N + 1]))
+                for N in range(M))
+    S = Fraction(d * total, e ** (2 * M - 1) * b ** (2 * M - 2))
+    R = (4 * M * w) ** 2 + 16 * M + 4
+    K = 2**64
+    r = Fraction(math.isqrt(R.numerator * K * K // R.denominator), K)
+    s1 = (4 * M * w + r) / (8 * M + 2)
+    assert w < s1 and 4 * x < 1 - s1 * s1, (w, x)
+    return S, (4 * x / (1 - s1 * s1)) ** (2 * M) / (s1 - w)
+
+
+# (w, x) on the rational grid with 1 - 4x - w^2 >= 1/20
+ENCLOSURE_GRID = [(w, x) for x in map(Fraction, ("0", "1/100", "1/20", "1/10", "3/20",
+                                                  "1/5", "11/50", "6/25"))
+                  for w in map(Fraction, ("0", "1/10", "3/10", "1/2", "7/10", "9/10"))
+                  if 1 - 4 * x - w * w >= Fraction(1, 20)]
+
+
 def test_alpha_series_partial_sum_oracle() -> None:
-    """The series against the literal exact double sum over its rectangle
-    N <= 90, j <= 160, in integers over the common denominator
-    q^180 s^160 of x = p/q and w = r/s."""
-    A = [[exact_core.a_array(N, j) for j in range(161)] for N in range(91)]
-    for x, w in [(0.1, 0.3), (0.05, 0.5), (0.2, 0.0)]:
-        got = genfun.alpha_series(w, x)
-        (p, q), (r, s) = x.as_integer_ratio(), w.as_integer_ratio()
-        xs = [p ** (2 * N) * q ** (180 - 2 * N) for N in range(91)]
-        ws = [r**j * s ** (160 - j) for j in range(161)]
-        num = sum(xs[N] * sum(A[N][j] * ws[j] for j in range(161)) for N in range(91))
-        want = Fraction(num, q**180 * s**160)
-        assert got == pytest.approx(float(want), rel=1e-13)
+    """A certified enclosure: on the rational grid every route lies in
+    [S, S + T] from _rows_enclosure, up to 1e-15 S of rounding, and
+    tail_bound covers alpha - series by as much."""
+    assert {(Fraction(3, 10), Fraction(1, 10)), (Fraction(1, 2), Fraction(3, 20)),
+            (Fraction(9, 10), Fraction(1, 100)), (Fraction(1, 10), Fraction(11, 50))} \
+        <= set(ENCLOSURE_GRID)
+    for wq, xq in ENCLOSURE_GRID:
+        S, T = _rows_enclosure(wq, xq)
+        lo, hi, tol = float(S), float(S + T), 1e-15 * float(S)
+        w, x = float(wq), float(xq)
+        trunc = SeriesTruncation()
+        series = genfun.alpha_series(w, x, trunc)
+        routes = [series, genfun.alpha_contour(w, x)] + ([alpha_closed(w, x)] if x else [])
+        for got in routes:
+            assert lo - tol <= got <= hi + tol, (w, x, got, lo, hi)
+        assert max(routes) - series <= trunc.tail_bound + tol, (w, x)
 
 
 def test_alpha_series_row_zero_is_geometric() -> None:
@@ -254,29 +327,45 @@ def test_alpha_series_tail_bound_holds() -> None:
         assert abs(series - ref) <= trunc.tail_bound + 1e-14 * (1 + ref), (w, x)
 
 
+def test_alpha_series_exact_where_rows_vanish() -> None:
+    """Where the dropped rows weigh below 1e-16, the series is the contour
+    to 2e-15 (1 + alpha): no column is cut, up to w = 0.999 sqrt(1 - 4x),
+    on seeded points with x <= 0.15, half of them with w >= 0.9 sqrt(1 - 4x)."""
+    rng = random.Random(3201)
+    checked = 0
+    for k in range(400):
+        x = rng.uniform(0, 0.15)
+        s = math.sqrt(1 - 4 * x)
+        w = rng.uniform(0.9 * s if k % 2 else 0, 0.999 * s)
+        trunc = SeriesTruncation()
+        series = genfun.alpha_series(w, x, trunc)
+        if trunc.tail_bound >= 1e-16:
+            continue
+        checked += 1
+        contour = genfun.alpha_contour(w, x)
+        assert abs(series - contour) <= 2e-15 * (1 + contour), (w, x, series, contour)
+    assert checked >= 250
+
+
 def _tail_bound_mpmath(w: float, x: float) -> float:
     """The tail bound as first written, at 30 digits: alpha <= 1/(s - w),
-    s = sqrt(1 - 4x); rows (x/x')^182 / (s' - w) at the positive root s' of
-    365 s'^2 - 364 w s' - 1, x' = (1 - s'^2)/4; columns
-    (w/w')^161 / (s - w') at w' = 161 s/162; each part 1/(s - w) where x'
-    or w' is not above x or w."""
+    s = sqrt(1 - 4x), so the rows weigh at most (x/x')^182 / (s' - w) at the
+    positive root s' of 365 s'^2 - 364 w s' - 1, x' = (1 - s'^2)/4, or
+    1/(s - w) where x' is not above x."""
     with mpmath.workdps(30):
         w, x = mpmath.mpf(w), mpmath.mpf(x)
-        s = mpmath.sqrt(1 - 4 * x)
-        whole = 1 / (s - w)
         s1 = (364 * w + mpmath.sqrt((364 * w) ** 2 + 4 * 365)) / (2 * 365)
         x1 = (1 - s1 * s1) / 4
-        rows = (x / x1) ** 182 / (s1 - w) if x1 > x else whole
-        w1 = 161 * s / 162
-        cols = (w / w1) ** 161 / (s - w1) if w1 > w else whole
-        return float(rows + cols)
+        if x1 > x:
+            return float((x / x1) ** 182 / (s1 - w))
+        return float(1 / (mpmath.sqrt(1 - 4 * x) - w))
 
 
 @pytest.mark.parametrize("w,x", [
-    (0.65, 0.1),  # both minimisers inside their intervals
-    (0.0, 0.2499),  # x' <= x: the rows are 1/(s - w)
-    (0.999, 0.0),  # w' <= w: the columns are 1/(s - w)
-    (math.sqrt(1 - 0.4 - 1e-4), 0.1),  # both, next to the curve
+    (0.65, 0.1),  # the minimiser inside its interval
+    (0.0, 0.2499),  # x' <= x: the bound is 1/(s - w)
+    (0.999, 0.0),  # x = 0: no row weighs anything
+    (math.sqrt(1 - 0.4 - 1e-4), 0.1),  # next to the curve
 ])
 def test_alpha_series_tail_bound_closed_form(w: float, x: float) -> None:
     trunc = SeriesTruncation()
